@@ -1,7 +1,7 @@
 // Fleet-serving throughput of engine::TrackerEngine::estimate_all().
 //
 //   bench_engine_throughput [--sessions N] [--ticks N] [--record]
-//                           [--fleet] [--shards N] [--json PATH]
+//                           [--fleet] [--threads N] [--json PATH]
 //
 // A fixed fleet of sessions is pre-fed identical-cost phase streams; the
 // timed region is the batch tick alone, so the numbers isolate how the
@@ -16,9 +16,9 @@
 // engine (here the timed region includes the feed, since the recorder's
 // hot path runs per frame). Acceptance bar: <= 2% overhead.
 //
-// --fleet instead runs the sharded-fleet latency profile: a 10k+ session
-// roster served through an engine::FleetRouter (--shards engines, ticked
-// in parallel), per-tick wall latency recorded for every tick and
+// --fleet instead runs the fleet latency profile: a 10k+ session roster
+// served through one engine with --threads workers (default: one per
+// core, at most 8), per-tick wall latency recorded for every tick and
 // reported as p50/p99 against the 10 Hz serving budget (100 ms per
 // tick) — the SLO line. The same numbers are written machine-readable to
 // --json PATH (default BENCH_fleet.json) for CI artifact upload.
@@ -35,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/fleet.h"
 #include "engine/tracker_engine.h"
 #include "obs/sink.h"
 #include "replay/recorder.h"
@@ -158,17 +157,13 @@ RunStats run_recorded(std::size_t num_sessions, std::size_t num_ticks,
   return stats;
 }
 
-/// The sharded-fleet latency profile: 10k+ sessions over a FleetRouter,
-/// every tick's wall latency kept for percentile reporting.
-int run_fleet_latency(std::size_t shards, std::size_t sessions,
+/// The fleet latency profile: 10k+ sessions on one engine, every tick's
+/// wall latency kept for percentile reporting.
+int run_fleet_latency(std::size_t threads, std::size_t sessions,
                       std::size_t ticks, const std::string& json_path,
                       const std::shared_ptr<const vihot::core::CsiProfile>&
                           profile) {
-  vihot::engine::FleetConfig fc;
-  fc.shards = shards;
-  fc.threads_per_shard = 0;  // one tick thread per shard does the work
-  fc.parallel_shards = true;
-  vihot::engine::FleetRouter fleet(fc);
+  TrackerEngine fleet({threads});
 
   // A short, cheap stream per session: at 10k+ sessions the pre-feed
   // dominates setup, and the matcher only needs one window's worth of
@@ -216,9 +211,9 @@ int run_fleet_latency(std::size_t shards, std::size_t sessions,
 
   // The serving budget: a 10 Hz fleet tick must complete in its period.
   const double slo_ms = 100.0;
-  std::printf("FleetRouter latency profile: %zu sessions over %zu shards, "
+  std::printf("fleet latency profile: %zu sessions, %zu worker threads, "
               "%zu ticks\n",
-              sessions, fleet.num_shards(), ticks);
+              sessions, fleet.num_threads(), ticks);
   std::printf("  throughput: %.2f ticks/s -> %.0f session-estimates/s\n",
               ticks_per_s, est_per_s);
   std::printf("  tick latency: p50 %.1f ms, p99 %.1f ms, max %.1f ms\n",
@@ -234,7 +229,7 @@ int run_fleet_latency(std::size_t shards, std::size_t sessions,
     }
     os << "{\n"
        << "  \"sessions\": " << sessions << ",\n"
-       << "  \"shards\": " << fleet.num_shards() << ",\n"
+       << "  \"threads\": " << fleet.num_threads() << ",\n"
        << "  \"ticks\": " << ticks << ",\n"
        << "  \"ticks_per_s\": " << ticks_per_s << ",\n"
        << "  \"session_estimates_per_s\": " << est_per_s << ",\n"
@@ -293,7 +288,7 @@ int main(int argc, char** argv) {
   bool ticks_set = false;
   bool record_ab = false;
   bool fleet = false;
-  std::size_t shards = 0;
+  std::size_t threads = 0;
   std::string json_path = "BENCH_fleet.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
@@ -306,15 +301,15 @@ int main(int argc, char** argv) {
       record_ab = true;
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
       fleet = true;
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       fleet = true;
-      shards = static_cast<std::size_t>(std::atoi(argv[++i]));
+      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: %s [--sessions N] [--ticks N] [--record] "
-                   "[--fleet] [--shards N] [--json PATH]\n",
+                   "[--fleet] [--threads N] [--json PATH]\n",
                    *argv);
       return 2;
     }
@@ -324,14 +319,14 @@ int main(int argc, char** argv) {
       std::make_shared<const vihot::core::CsiProfile>(make_profile());
 
   if (fleet) {
-    // Fleet-scale defaults: a 10k-session roster, one shard per core.
+    // Fleet-scale defaults: a 10k-session roster, one worker per core.
     if (!sessions_set) sessions = 10000;
     if (!ticks_set) ticks = 25;
-    if (shards == 0) {
-      shards = std::max(1u, std::thread::hardware_concurrency());
-      shards = std::min<std::size_t>(shards, 8);
+    if (threads == 0) {
+      threads = std::max(1u, std::thread::hardware_concurrency());
+      threads = std::min<std::size_t>(threads, 8);
     }
-    return run_fleet_latency(shards, sessions, ticks, json_path, profile);
+    return run_fleet_latency(threads, sessions, ticks, json_path, profile);
   }
 
   if (record_ab) return run_record_ab(sessions, ticks, profile);

@@ -12,19 +12,23 @@ namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
+engine::TrackerEngine::Config engine_config(const DaemonConfig& config,
+                                            obs::Sink* sink) {
+  engine::TrackerEngine::Config ec;
+  ec.num_threads = config.threads;
+  ec.sink = sink;
+  ec.ingest.csi_capacity = config.ingest_capacity;
+  ec.ingest.imu_capacity = config.ingest_capacity;
+  ec.ingest.policy = config.ingest_policy;
+  return ec;
+}
+
 }  // namespace
 
-Daemon::Daemon(const DaemonConfig& config) : config_(config), hub_(&sink_) {
-  engine::FleetConfig fc;
-  fc.shards = config_.shards;
-  fc.threads_per_shard = config_.threads_per_shard;
-  fc.parallel_shards = config_.parallel_shards;
-  fc.sink = &sink_;
-  fc.ingest.csi_capacity = config_.ingest_capacity;
-  fc.ingest.imu_capacity = config_.ingest_capacity;
-  fc.ingest.policy = config_.ingest_policy;
-  fleet_ = std::make_unique<engine::FleetRouter>(fc);
-}
+Daemon::Daemon(const DaemonConfig& config)
+    : config_(config),
+      engine_(engine_config(config, &sink_)),
+      hub_(&sink_) {}
 
 Daemon::~Daemon() {
   request_shutdown();
@@ -173,16 +177,16 @@ bool Daemon::handle_feeder(Connection& conn, const Frame& frame) {
                    "duplicate client session id");
         return false;
       }
-      engine::SessionId gid;
+      engine::SessionId engine_sid;
       {
         std::lock_guard<std::mutex> lk(engine_mu_);
-        auto interned = fleet_->add_profile(std::move(profile));
-        gid = fleet_->create_session(std::move(interned), config);
+        auto interned = engine_.add_profile(std::move(profile));
+        engine_sid = engine_.create_session(std::move(interned), config);
       }
-      conn.sessions.emplace(client_sid, gid);
+      conn.sessions.emplace(client_sid, engine_sid);
       sink_.daemon.sessions_opened.inc();
       std::vector<unsigned char> payload;
-      encode_session_ack(payload, client_sid, gid);
+      encode_session_ack(payload, client_sid, engine_sid);
       return send_frame(conn, MsgType::kSessionAck, payload);
     }
     case MsgType::kCloseSession: {
@@ -200,10 +204,10 @@ bool Daemon::handle_feeder(Connection& conn, const Frame& frame) {
       }
       {
         std::lock_guard<std::mutex> lk(engine_mu_);
-        fleet_->destroy_session(it->second);
+        engine_.destroy_session(it->second);
         // A drained fleet restarts the serving clock: the next corpus
         // run against this (still warm) daemon begins at its own t=0.
-        if (fleet_->session_count() == 0) clock_started_ = false;
+        if (engine_.session_count() == 0) clock_started_ = false;
       }
       conn.sessions.erase(it);
       sink_.daemon.sessions_closed.inc();
@@ -228,7 +232,7 @@ bool Daemon::handle_feeder(Connection& conn, const Frame& frame) {
         return false;
       }
       sink_.daemon.feed_csi.inc();
-      if (!fleet_->offer_csi(it->second, m)) {
+      if (!engine_.offer_csi(it->second, m)) {
         sink_.daemon.feed_rejected.inc();
       }
       return true;
@@ -250,7 +254,7 @@ bool Daemon::handle_feeder(Connection& conn, const Frame& frame) {
         return false;
       }
       sink_.daemon.feed_imu.inc();
-      if (!fleet_->offer_imu(it->second, s)) {
+      if (!engine_.offer_imu(it->second, s)) {
         sink_.daemon.feed_rejected.inc();
       }
       return true;
@@ -273,7 +277,7 @@ bool Daemon::handle_feeder(Connection& conn, const Frame& frame) {
       sink_.daemon.feed_camera.inc();
       // Camera estimates are synchronous-only (no ingest ring), same as
       // the engine API they map onto.
-      if (!fleet_->push_camera(it->second, e)) {
+      if (!engine_.push_camera(it->second, e)) {
         sink_.daemon.feed_rejected.inc();
       }
       return true;
@@ -379,8 +383,8 @@ void Daemon::run_tick(double t_req) {
   clock_started_ = true;
   last_tick_t_ = t;
 
-  const std::span<const core::TrackResult> results = fleet_->estimate_all(t);
-  const std::span<const engine::SessionId> ids = fleet_->session_ids_span();
+  const std::span<const core::TrackResult> results = engine_.estimate_all(t);
+  const std::span<const engine::SessionId> ids = engine_.session_ids_span();
   sink_.daemon.ticks.inc();
 
   // Encode ONE kResults frame and fan out references; the span is only
@@ -413,11 +417,11 @@ bool Daemon::send_frame(Connection& conn, MsgType type,
 void Daemon::orphan_sessions(Connection& conn) {
   if (conn.sessions.empty()) return;
   std::lock_guard<std::mutex> lk(engine_mu_);
-  for (const auto& [client_sid, gid] : conn.sessions) {
-    fleet_->destroy_session(gid);
+  for (const auto& [client_sid, engine_sid] : conn.sessions) {
+    engine_.destroy_session(engine_sid);
     sink_.daemon.sessions_orphaned.inc();
   }
-  if (fleet_->session_count() == 0) clock_started_ = false;
+  if (engine_.session_count() == 0) clock_started_ = false;
   conn.sessions.clear();
 }
 
@@ -450,7 +454,7 @@ void Daemon::shutdown_sequence() {
   }
   // 4. Apply whatever is still queued in the ingest rings, so the
   //    engine tier is quiescent and consistent.
-  fleet_->drain();
+  engine_.drain();
   // 5. Flush subscriber queues against the drain budget; each stream
   //    ends with kBye.
   hub_.shutdown_all(config_.drain_timeout_ms);
@@ -461,15 +465,11 @@ void Daemon::shutdown_sequence() {
 }
 
 std::string Daemon::health_json() {
-  std::size_t sessions = 0;
-  {
-    std::lock_guard<std::mutex> lk(engine_mu_);
-    sessions = fleet_->session_count();
-  }
+  // No engine_mu_ here: a kBlock tick holds it through the broadcast,
+  // while session_count() takes only the roster lock a tick holds shared.
   std::ostringstream os;
-  os << "{\n  \"daemon\": {\"sessions\": " << sessions
+  os << "{\n  \"daemon\": {\"sessions\": " << engine_.session_count()
      << ", \"subscribers\": " << hub_.size()
-     << ", \"shards\": " << fleet_->num_shards()
      << ", \"stopping\": " << (stopping() ? "true" : "false") << "},\n"
      << "  \"metrics\": ";
   obs::Registry registry;

@@ -1,6 +1,6 @@
 // vihotd core: tracking-as-a-service over a local socket.
 //
-// One Daemon owns a FleetRouter (the serving engine tier), a
+// One Daemon owns a TrackerEngine (the serving engine tier), a
 // SubscriberHub (the result fan-out tier) and a unix-socket listener.
 // Each accepted connection gets a reader thread that assembles frames
 // (daemon/protocol.h), dispatches by the connection's hello'd role, and
@@ -20,7 +20,9 @@
 // estimate_all() result span is only valid until the next churn call,
 // and the daemon encodes the span into the broadcast frame under that
 // same lock. Feed offers deliberately stay OUTSIDE it — they land in
-// the per-session SPSC ingest rings and are drained by the next tick.
+// the per-session SPSC ingest rings and are drained by the next tick —
+// and so does the health probe, which a kBlock tick waiting on a slow
+// subscriber would otherwise stall.
 //
 // Shutdown (SIGTERM -> request_shutdown(), or a control client's
 // kShutdown frame): stop accepting, half-close every connection's read
@@ -41,7 +43,7 @@
 #include "daemon/protocol.h"
 #include "daemon/socket.h"
 #include "daemon/subscriber.h"
-#include "engine/fleet.h"
+#include "engine/tracker_engine.h"
 #include "obs/sink.h"
 
 namespace vihot::daemon {
@@ -49,10 +51,9 @@ namespace vihot::daemon {
 struct DaemonConfig {
   std::string socket_path;
 
-  /// Engine tier sizing (FleetConfig pass-through).
-  std::size_t shards = 1;
-  std::size_t threads_per_shard = 0;
-  bool parallel_shards = true;
+  /// Engine worker threads (TrackerEngine::Config::num_threads; 0 =
+  /// ticks run inline on the ticking reader thread).
+  std::size_t threads = 0;
 
   /// Ingest rings per session. Sized generously by default: a daemon
   /// feeder batches a whole replay window between kTick frames, unlike
@@ -98,7 +99,7 @@ class Daemon {
   [[nodiscard]] std::string health_json();
 
   [[nodiscard]] obs::Sink& sink() noexcept { return sink_; }
-  [[nodiscard]] engine::FleetRouter& fleet() noexcept { return *fleet_; }
+  [[nodiscard]] engine::TrackerEngine& engine() noexcept { return engine_; }
   [[nodiscard]] std::size_t subscriber_count() const {
     return hub_.size();
   }
@@ -112,7 +113,7 @@ class Daemon {
     // Reader-thread-local state (no lock: only the reader touches it).
     bool hello_done = false;
     Role role = Role::kFeeder;
-    /// Feeder: client-chosen session id -> fleet-global id.
+    /// Feeder: client-chosen session id -> engine session id.
     std::unordered_map<std::uint64_t, engine::SessionId> sessions;
     /// Subscriber: hub registration (0 = not subscribed).
     std::uint64_t sub_id = 0;
@@ -142,7 +143,7 @@ class Daemon {
   DaemonConfig config_;
   std::string error_;
   obs::Sink sink_;
-  std::unique_ptr<engine::FleetRouter> fleet_;
+  engine::TrackerEngine engine_;
   SubscriberHub hub_;
   Listener listener_;
   std::atomic<bool> stop_{false};

@@ -18,7 +18,7 @@ FrameBytes bye_frame() {
 
 std::uint64_t SubscriberHub::add(std::shared_ptr<Stream> conn,
                                  const SubscriberOptions& options) {
-  auto sub = std::make_unique<Sub>();
+  auto sub = std::make_shared<Sub>();
   sub->conn = std::move(conn);
   sub->options = options;
   if (sub->options.capacity == 0) sub->options.capacity = 1;
@@ -113,13 +113,13 @@ void SubscriberHub::enqueue(Sub& sub, const FrameBytes& frame) {
 void SubscriberHub::broadcast(const FrameBytes& frame) {
   // Snapshot under the map lock, enqueue outside it: an enqueue may
   // wait (kBlock) and must not hold up add/remove on other subscribers.
-  std::vector<Sub*> live;
+  std::vector<std::shared_ptr<Sub>> live;
   {
     std::lock_guard<std::mutex> lk(subs_mu_);
     live.reserve(subs_.size());
-    for (auto& [id, sub] : subs_) live.push_back(sub.get());
+    for (auto& [id, sub] : subs_) live.push_back(sub);
   }
-  for (Sub* sub : live) enqueue(*sub, frame);
+  for (const std::shared_ptr<Sub>& sub : live) enqueue(*sub, frame);
   // Prune subscribers whose writer died on a send error.
   std::lock_guard<std::mutex> lk(subs_mu_);
   for (auto it = subs_.begin(); it != subs_.end();) {
@@ -139,7 +139,7 @@ void SubscriberHub::broadcast(const FrameBytes& frame) {
 
 void SubscriberHub::remove(std::uint64_t id, bool flush,
                            int flush_timeout_ms) {
-  std::unique_ptr<Sub> sub;
+  std::shared_ptr<Sub> sub;
   {
     std::lock_guard<std::mutex> lk(subs_mu_);
     const auto it = subs_.find(id);
@@ -176,8 +176,8 @@ void SubscriberHub::finish(Sub& sub, bool flush, int flush_timeout_ms) {
 }
 
 void SubscriberHub::reap_locked(
-    std::unordered_map<std::uint64_t, std::unique_ptr<Sub>>::iterator it) {
-  std::unique_ptr<Sub> sub = std::move(it->second);
+    std::unordered_map<std::uint64_t, std::shared_ptr<Sub>>::iterator it) {
+  std::shared_ptr<Sub> sub = std::move(it->second);
   subs_.erase(it);
   finish(*sub, /*flush=*/false, 0);
   if (sink_ != nullptr) sink_->daemon.subscribers_removed.inc();

@@ -100,11 +100,14 @@ class SubscriberHub {
   void finish(Sub& sub, bool flush, int flush_timeout_ms);
   /// Joins + erases `it`'s subscriber. Caller holds subs_mu_.
   void reap_locked(std::unordered_map<std::uint64_t,
-                                      std::unique_ptr<Sub>>::iterator it);
+                                      std::shared_ptr<Sub>>::iterator it);
 
   obs::Sink* sink_;
   mutable std::mutex subs_mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Sub>> subs_;
+  /// Shared, not unique: broadcast() enqueues outside subs_mu_ (a kBlock
+  /// enqueue may wait), so a concurrent remove() must not free a Sub
+  /// that an enqueue is still waiting on.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Sub>> subs_;
   std::uint64_t next_id_ = 1;
 };
 

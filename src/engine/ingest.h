@@ -77,8 +77,9 @@ enum class OverloadPolicy : std::uint8_t {
 
 /// Sizing and policy of the per-session ingest rings.
 struct IngestConfig {
-  /// Ring capacities (rounded up to powers of two). 0 disables the async
-  /// tier: offer_* falls back to the synchronous push path.
+  /// Ring capacities (rounded up to powers of two, at most
+  /// kMaxIngestCapacity). 0 disables the async tier: offer_* falls back
+  /// to the synchronous push path.
   std::size_t csi_capacity = 512;
   std::size_t imu_capacity = 512;
 

@@ -27,14 +27,19 @@
 
 namespace vihot::engine {
 
+/// Largest ring capacity (2^20 cells). Larger requests are clamped to
+/// it, which also keeps the power-of-two round-up from overflowing.
+inline constexpr std::size_t kMaxIngestCapacity = std::size_t{1} << 20;
+
 template <typename T>
 class IngestRing {
  public:
-  /// Capacity is rounded up to a power of two; 0 keeps it at 0 (a ring
-  /// that rejects every push — the "ingest disabled" form).
+  /// Capacity is rounded up to a power of two and clamped to
+  /// kMaxIngestCapacity; 0 keeps it at 0 (a ring that rejects every
+  /// push — the "ingest disabled" form).
   explicit IngestRing(std::size_t capacity) {
     std::size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
+    while (cap < capacity && cap < kMaxIngestCapacity) cap <<= 1;
     if (capacity == 0) cap = 0;
     cells_ = std::vector<Cell>(cap);
     mask_ = cap == 0 ? 0 : cap - 1;

@@ -1,8 +1,8 @@
 // Content-addressed profile interning (the fleet's memory tier).
 //
-// Fleet serving breaks the per-engine profile model twice over: a fleet
-// of engines wants ONE copy of each distinct profile across every shard,
-// and a serving process that churns through millions of sessions must
+// Fleet serving breaks the per-engine profile model twice over: engines
+// sharing a store want ONE copy of each distinct profile across all of
+// them, and a serving process that churns through millions of sessions must
 // not pin every profile it ever saw (TrackerEngine::add_profile used to
 // retain each one in a flat vector forever). The store fixes both:
 //
@@ -21,7 +21,7 @@
 // Hot-swap is copy-on-write at the profile granularity: cow() clones a
 // live profile, applies the caller's mutation, and interns the result as
 // a NEW immutable profile. Sessions still serving the old snapshot keep
-// it alive until they are swapped over (FleetRouter::swap_profile); the
+// it alive until they are swapped over (TrackerEngine::swap_profile); the
 // old snapshot is freed once unreferenced. Stored profiles are never
 // mutated in place.
 //

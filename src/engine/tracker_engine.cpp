@@ -68,7 +68,10 @@ bool TrackerEngine::destroy_session(SessionId id) {
   std::lock_guard<std::mutex> batch(batch_mu_);
   std::unique_lock<std::shared_mutex> lk(roster_mu_);
   const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
+  if (it == sessions_.end()) {
+    if (sink_ != nullptr) sink_->engine.unknown_session.inc();
+    return false;
+  }
   if (tap_ != nullptr) tap_->on_session_destroyed(id);
   roster_.erase(std::remove(roster_.begin(), roster_.end(), it->second.get()),
                 roster_.end());
@@ -102,7 +105,11 @@ std::span<const SessionId> TrackerEngine::session_ids_span() const {
 
 TrackerSession* TrackerEngine::find(SessionId id) const {
   const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : it->second.get();
+  if (it == sessions_.end()) {
+    if (sink_ != nullptr) sink_->engine.unknown_session.inc();
+    return nullptr;
+  }
+  return it->second.get();
 }
 
 bool TrackerEngine::push_csi(SessionId id, const wifi::CsiMeasurement& m) {
@@ -179,10 +186,7 @@ std::optional<core::TrackResult> TrackerEngine::estimate_one(SessionId id,
                                                              double t_now) {
   std::shared_lock<std::shared_mutex> lk(roster_mu_);
   TrackerSession* s = find(id);
-  if (!s) {
-    if (sink_ != nullptr) sink_->engine.unknown_session.inc();
-    return std::nullopt;
-  }
+  if (!s) return std::nullopt;
   s->drain();
   return s->estimate(t_now);
 }
@@ -191,10 +195,7 @@ std::optional<core::Forecast> TrackerEngine::forecast_one(SessionId id,
                                                           double horizon_s) {
   std::shared_lock<std::shared_mutex> lk(roster_mu_);
   TrackerSession* s = find(id);
-  if (!s) {
-    if (sink_ != nullptr) sink_->engine.unknown_session.inc();
-    return std::nullopt;
-  }
+  if (!s) return std::nullopt;
   return s->forecast(horizon_s);
 }
 
@@ -202,10 +203,7 @@ bool TrackerEngine::swap_profile(
     SessionId id, std::shared_ptr<const core::CsiProfile> profile) {
   std::shared_lock<std::shared_mutex> lk(roster_mu_);
   TrackerSession* s = find(id);
-  if (!s) {
-    if (sink_ != nullptr) sink_->engine.unknown_session.inc();
-    return false;
-  }
+  if (!s) return false;
   s->swap_profile(std::move(profile));
   if (sink_ != nullptr) sink_->engine.profile_swaps.inc();
   return true;

@@ -270,9 +270,9 @@ class TrackerEngine {
     RecordTap* tap = nullptr;
 
     /// Profile interning store backing add_profile(). nullptr = the
-    /// engine uses its own private store. Point several engines (e.g.
-    /// the shards of a FleetRouter) at one store to dedupe identical
-    /// profiles across all of them. Not owned; must outlive the engine.
+    /// engine uses its own private store. Point several engines at one
+    /// store to dedupe identical profiles across all of them. Not owned;
+    /// must outlive the engine.
     ProfileStore* profiles = nullptr;
   };
 
@@ -299,8 +299,9 @@ class TrackerEngine {
   SessionId create_session(std::shared_ptr<const core::CsiProfile> profile,
                            const core::TrackerConfig& config = {});
 
-  /// Destroys a session; returns false for unknown ids. Samples still
-  /// queued in the session's ingest rings are discarded with it.
+  /// Destroys a session; returns false for unknown ids (counted as
+  /// engine.unknown_session). Samples still queued in the session's
+  /// ingest rings are discarded with it.
   bool destroy_session(SessionId id);
 
   [[nodiscard]] std::size_t session_count() const;
@@ -318,8 +319,9 @@ class TrackerEngine {
 
   // Synchronous per-session feeds; return false for unknown ids and for
   // rejected out-of-order or non-finite samples (counted in the sink's
-  // engine.out_of_order_* / engine.non_finite_* families). Safe to call
-  // from multiple producer threads, including while estimate_all() runs.
+  // engine.unknown_session / engine.out_of_order_* / engine.non_finite_*
+  // families). Safe to call from multiple producer threads, including
+  // while estimate_all() runs.
   bool push_csi(SessionId id, const wifi::CsiMeasurement& m);
   bool push_imu(SessionId id, const imu::ImuSample& sample);
   bool push_camera(SessionId id,
@@ -393,7 +395,8 @@ class TrackerEngine {
   [[nodiscard]] obs::Sink* sink() const noexcept { return sink_; }
 
  private:
-  /// Looks up a session under the roster lock; nullptr when unknown.
+  /// Looks up a session under the roster lock; nullptr when unknown
+  /// (counted as engine.unknown_session).
   [[nodiscard]] TrackerSession* find(SessionId id) const;
 
   /// Drain step body; requires batch_mu_ and a roster lock held.

@@ -142,15 +142,14 @@ struct EngineStats {
 
   Counter sessions_created;
   Counter sessions_destroyed;
-  /// Per-session API calls (push/offer/estimate_one/forecast_one) that
-  /// named a SessionId the engine does not serve. A nonzero rate means a
+  /// Per-session API calls (push/offer/estimate_one/forecast_one/
+  /// swap_profile/destroy_session) that named a SessionId the engine does not serve. A nonzero rate means a
   /// caller is racing destroy_session or holding a stale handle — the
   /// lookup failure is surfaced explicitly (std::optional / false), never
   /// as a value-initialized result.
   Counter unknown_session;
 
-  /// Mid-drive profile hot-swaps applied (TrackerEngine::swap_profile /
-  /// FleetRouter::swap_profile).
+  /// Mid-drive profile hot-swaps applied (TrackerEngine::swap_profile).
   Counter profile_swaps;
 
   // Accepted per-session feeds (feed rate = counter delta / wall time).

@@ -11,7 +11,6 @@
 
 #include "camera/camera_tracker.h"
 #include "channel/cabin.h"
-#include "engine/fleet.h"
 #include "imu/imu.h"
 #include "sim/drive_sim.h"
 #include "sim/experiment.h"
@@ -81,20 +80,17 @@ ScenarioOutcome run_pack(const ScenarioSpec& spec, const RunOptions& options,
   obs::Sink* sink = options.sink != nullptr ? options.sink : &local_sink;
   sink->scenario.runs.inc();
 
-  const std::size_t shards = options.shards == 0 ? 1 : options.shards;
   engine::IngestConfig ingest = config.ingest;
   if (!config.async_ingest) {
     ingest.csi_capacity = 0;
     ingest.imu_capacity = 0;
   }
-  engine::FleetConfig fc;
-  fc.shards = shards;
-  fc.threads_per_shard =
-      shards > 1 ? options.threads / shards : options.threads;
-  fc.sink = sink;
-  fc.ingest = ingest;
-  fc.tap = options.tap;
-  engine::FleetRouter eng(fc);
+  engine::TrackerEngine::Config ec;
+  ec.num_threads = options.threads;
+  ec.sink = sink;
+  ec.ingest = ingest;
+  ec.tap = options.tap;
+  engine::TrackerEngine eng(ec);
 
   channel::CabinScene base_scene = channel::make_cabin_scene(config.layout);
   base_scene.driver_head_center = config.driver.head_center;

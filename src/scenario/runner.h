@@ -5,11 +5,12 @@
 // driver against the stock scene, every tracked rider against its
 // channel::occupant_view antenna weighting), pre-generates the seeded
 // feed streams over each occupant's presence window, then serves the
-// whole cabin through a FleetRouter on one common timeline: sessions are
-// created the instant their occupant enters and destroyed when they
-// leave — rideshare churn drives LIVE session churn against the engine,
-// which is exactly what a recording tap captures (kSessionStart /
-// kSessionEnd mid-log, the mid-log churn the replayer re-drives).
+// whole cabin through one TrackerEngine on one common timeline:
+// sessions are created the instant their occupant enters and destroyed
+// when they leave — rideshare churn drives LIVE session churn against
+// the engine, which is exactly what a recording tap captures
+// (kSessionStart / kSessionEnd mid-log, the mid-log churn the replayer
+// re-drives).
 //
 // Determinism contract: everything flows from the pack seed through
 // labeled util::Rng forks, so the same spec + seed + options produces
@@ -34,10 +35,9 @@ namespace vihot::scenario {
 
 /// Serving knobs for one pack run (the pack itself stays declarative).
 struct RunOptions {
-  std::size_t threads = 0;  ///< total worker budget (0 = inline ticks)
-  std::size_t shards = 1;   ///< FleetRouter shards (tap requires 1)
+  std::size_t threads = 0;  ///< engine worker threads (0 = inline ticks)
   obs::Sink* sink = nullptr;           ///< nullptr = run-local sink
-  engine::RecordTap* tap = nullptr;    ///< flight recorder (shards == 1)
+  engine::RecordTap* tap = nullptr;    ///< flight recorder
   double duration_override_s = 0.0;    ///< >0 rescales the pack duration
   std::uint64_t seed_override = 0;     ///< nonzero replaces the pack seed
 };

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "engine/fleet.h"
+#include "engine/tracker_engine.h"
 
 namespace vihot::sim {
 
@@ -30,12 +30,9 @@ struct FleetSession {
 FleetResult run_fleet(const ScenarioConfig& config,
                       std::size_t num_threads,
                       obs::Sink* sink,
-                      engine::RecordTap* tap,
-                      std::size_t shards) {
-  if (shards == 0) shards = 1;
+                      engine::RecordTap* tap) {
   FleetResult out;
   out.sessions = config.runtime_sessions;
-  out.shards = shards;
 
   obs::Sink local_sink;
   if (sink == nullptr) sink = &local_sink;
@@ -48,15 +45,12 @@ FleetResult run_fleet(const ScenarioConfig& config,
     ingest.csi_capacity = 0;
     ingest.imu_capacity = 0;
   }
-  engine::FleetConfig fc;
-  fc.shards = shards;
-  // `num_threads` is the TOTAL worker budget, split across shards; the
-  // single-shard fleet keeps the historical one-engine wiring exactly.
-  fc.threads_per_shard = shards > 1 ? num_threads / shards : num_threads;
-  fc.sink = sink;
-  fc.ingest = ingest;
-  fc.tap = tap;
-  engine::FleetRouter eng(fc);
+  engine::TrackerEngine::Config ec;
+  ec.num_threads = num_threads;
+  ec.sink = sink;
+  ec.ingest = ingest;
+  ec.tap = tap;
+  engine::TrackerEngine eng(ec);
   const auto profile = eng.add_profile(runner.build_profile());
 
   // Per-session substrate, seeded like ExperimentRunner::run_session.
@@ -172,15 +166,9 @@ FleetResult run_fleet(const ScenarioConfig& config,
         fallback_sum / static_cast<double>(fleet.size());
   }
 
-  // Observability rollup: copy out of the fleet before it is destroyed
-  // (worker slots concatenated shard by shard).
+  // Observability rollup: copy out of the engine before it is destroyed.
   out.stage_stats = obs::snapshot(sink->tracker);
-  for (std::size_t s = 0; s < eng.num_shards(); ++s) {
-    const std::vector<std::uint64_t> items =
-        eng.shard(s).worker_items_drained();
-    out.worker_items.insert(out.worker_items.end(), items.begin(),
-                            items.end());
-  }
+  out.worker_items = eng.worker_items_drained();
   const obs::EngineStats& es = sink->engine;
   out.out_of_order_feeds = es.out_of_order_csi.value() +
                            es.out_of_order_imu.value() +

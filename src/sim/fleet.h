@@ -1,9 +1,6 @@
-// Fleet serving through an engine::FleetRouter: N simulated drives
+// Fleet serving through one engine::TrackerEngine: N simulated drives
 // advancing on a common timeline, one fleet-wide estimate_all() per
-// evaluation tick, the sessions sharded over `shards` TrackerEngines
-// (shards == 1 is the transparent single-engine fleet, byte-identical to
-// serving through a bare TrackerEngine — flight recording is only
-// defined there).
+// evaluation tick.
 //
 // The per-session physics and streams are derived exactly like
 // ExperimentRunner::run_session (same rng derivation per session index),
@@ -26,7 +23,6 @@ namespace vihot::sim {
 struct FleetResult {
   ErrorCollector errors;      ///< merged ViHOT angular errors (deg)
   std::size_t sessions = 0;
-  std::size_t shards = 1;     ///< engine shards the fleet was served on
   std::size_t ticks = 0;      ///< estimate_all() batch ticks served
   double serve_wall_s = 0.0;  ///< wall clock of the feed + tick loop
   /// sessions * ticks / serve_wall_s: the fleet-serving throughput.
@@ -49,17 +45,14 @@ struct FleetResult {
 };
 
 /// Profiles once, then serves `config.runtime_sessions` concurrent drives
-/// through a FleetRouter over `shards` engines sharing `num_threads`
-/// TOTAL workers (split evenly across shards; 0 = inline ticks).
-/// When `sink` is non-null every shard and session reports into it
-/// (e.g. for --metrics-out); otherwise a run-local sink feeds just the
-/// FleetResult rollup. A non-null `tap` records the run (the flight
-/// recorder: see src/replay) and requires shards == 1 — the recorded
-/// call sequence is only deterministic for the single-engine fleet.
+/// through one TrackerEngine with `num_threads` workers (0 = inline
+/// ticks). When `sink` is non-null the engine and every session report
+/// into it (e.g. for --metrics-out); otherwise a run-local sink feeds
+/// just the FleetResult rollup. A non-null `tap` records the run (the
+/// flight recorder: see src/replay).
 [[nodiscard]] FleetResult run_fleet(const ScenarioConfig& config,
                                     std::size_t num_threads,
                                     obs::Sink* sink = nullptr,
-                                    engine::RecordTap* tap = nullptr,
-                                    std::size_t shards = 1);
+                                    engine::RecordTap* tap = nullptr);
 
 }  // namespace vihot::sim

@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CLI contract check: every binary passed as an argument must reject an
-# unknown option — and an unknown backend name — by printing usage text
-# and exiting 2. Guards the vihot_trace regression where a typo'd flag
-# was silently ignored and the run proceeded with defaults.
+# unknown option — and an unknown backend name, a retired flag or a
+# malformed number — by printing usage text and exiting 2. Guards the
+# vihot_trace regression where a typo'd flag was silently ignored and the
+# run proceeded with defaults.
 status=0
 probe() {
   bin=$1; label=$2; shift 2
@@ -29,7 +30,17 @@ for bin in "$@"; do
   # unknown flag, so the contract holds either way.
   probe "$bin" "a bogus sanitizer backend" --sanitizer-backend bogus
   probe "$bin" "a bogus tracker backend" --tracker-backend bogus
+  # Sharding is gone (one engine serves every session): --shards is an
+  # unknown flag everywhere, and a non-numeric --threads is rejected.
+  probe "$bin" "the retired --shards flag" --shards 2
+  probe "$bin" "a non-numeric thread count" --threads abc
   case "$(basename "$bin")" in
+    vihotd*)
+      # strtoull read "-1" as 2^64-1, and the ring round-up then hung.
+      probe "$bin" "a negative ingest capacity" \
+        --socket "${TMPDIR:-/tmp}/cli-probe-never-bound.sock" \
+        --ingest-capacity -1
+      ;;
     vihot_sim*)
       # Scenario-pack contract: a pack is a sealed workload definition,
       # so combining --scenario with an ad-hoc cabin flag is a
@@ -38,6 +49,8 @@ for bin in "$@"; do
       probe "$bin" "--scenario plus an ad-hoc flag" \
         --scenario driver_only_baseline --passenger
       probe "$bin" "an unknown scenario pack" --scenario not_a_real_pack
+      # atof + a cast to size_t made "-1" undefined behaviour.
+      probe "$bin" "a negative session count" --sessions -1
       list=$("$bin" --list-scenarios 2>&1)
       code=$?
       if [ "$code" -ne 0 ]; then
@@ -52,5 +65,5 @@ for bin in "$@"; do
       ;;
   esac
 done
-[ "$status" -eq 0 ] && echo "PASS: all tools reject unknown flags and backends"
+[ "$status" -eq 0 ] && echo "PASS: all tools reject unknown flags, backends and bad numbers"
 exit "$status"

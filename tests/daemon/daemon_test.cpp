@@ -321,16 +321,16 @@ TEST_F(DaemonTest, OrphanedSessionsAreReaped) {
     const auto profile = core::testing::synthetic_profile(2);
     ASSERT_TRUE(feeder.open_session(1, profile, {}, &global_sid));
     ASSERT_TRUE(feeder.open_session(2, profile, {}, &global_sid));
-    EXPECT_EQ(daemon_->fleet().session_count(), 2u);
+    EXPECT_EQ(daemon_->engine().session_count(), 2u);
     feeder.close();  // vanish without kCloseSession
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (daemon_->fleet().session_count() != 0 &&
+  while (daemon_->engine().session_count() != 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(daemon_->fleet().session_count(), 0u);
+  EXPECT_EQ(daemon_->engine().session_count(), 0u);
   expect_daemon_alive();
 }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -168,6 +169,22 @@ TEST(TrackerEngineTest, UnknownSessionLookupsAreCounted) {
   EXPECT_FALSE(engine.forecast_one(id, 0.1).has_value());
   EXPECT_FALSE(engine.swap_profile(id, profile));
   EXPECT_EQ(sink.engine.unknown_session.value(), 3u);
+  // Every other entry point counts its misses too, feeds and teardown
+  // included, for stale and never-issued ids alike.
+  for (const SessionId unknown : {id, SessionId{42}}) {
+    EXPECT_FALSE(engine.push_csi(unknown, measurement(0.0, 0.0)));
+    EXPECT_FALSE(engine.push_imu(unknown, {}));
+    EXPECT_FALSE(engine.push_camera(unknown, {}));
+    EXPECT_FALSE(engine.offer_csi(unknown, measurement(0.0, 0.0)));
+    EXPECT_FALSE(engine.offer_imu(unknown, {}));
+    EXPECT_FALSE(engine.destroy_session(unknown));
+  }
+  EXPECT_EQ(sink.engine.unknown_session.value(), 3u + 2u * 6u);
+  // Rejected samples on a LIVE session are not lookup misses.
+  const SessionId live = engine.create_session(profile);
+  EXPECT_TRUE(engine.push_csi(live, measurement(1.0, 0.0)));
+  EXPECT_FALSE(engine.push_csi(live, measurement(0.5, 0.0)));
+  EXPECT_EQ(sink.engine.unknown_session.value(), 3u + 2u * 6u);
 }
 
 TEST(TrackerEngineTest, MatchesStandaloneTrackers) {
@@ -214,6 +231,8 @@ TEST(TrackerEngineTest, ThreadCountDoesNotChangeResults) {
   };
   constexpr std::size_t kSessions = 8;
 
+  // Sessions are independent, so the pool size may only change speed:
+  // results must be bit-identical, session by session, tick by tick.
   auto run_fleet = [&](std::size_t threads) {
     TrackerEngine engine({threads});
     const auto profile = engine.add_profile(synthetic_profile(5));
@@ -233,12 +252,20 @@ TEST(TrackerEngineTest, ThreadCountDoesNotChangeResults) {
   };
 
   const std::vector<core::TrackResult> inline_results = run_fleet(0);
-  const std::vector<core::TrackResult> pooled_results = run_fleet(4);
-  ASSERT_EQ(inline_results.size(), pooled_results.size());
-  for (std::size_t i = 0; i < inline_results.size(); ++i) {
-    EXPECT_EQ(inline_results[i].valid, pooled_results[i].valid);
-    EXPECT_DOUBLE_EQ(inline_results[i].theta_rad,
-                     pooled_results[i].theta_rad);
+  for (const std::size_t threads : {1u, 3u, 5u}) {
+    const std::vector<core::TrackResult> pooled = run_fleet(threads);
+    ASSERT_EQ(inline_results.size(), pooled.size());
+    for (std::size_t i = 0; i < inline_results.size(); ++i) {
+      const core::TrackResult& a = inline_results[i];
+      const core::TrackResult& b = pooled[i];
+      EXPECT_EQ(a.valid, b.valid) << threads << " threads, i=" << i;
+      EXPECT_EQ(a.mode, b.mode) << threads << " threads, i=" << i;
+      EXPECT_EQ(a.position_slot, b.position_slot)
+          << threads << " threads, i=" << i;
+      // Bit-identical, not approximately equal.
+      EXPECT_EQ(std::memcmp(&a.theta_rad, &b.theta_rad, sizeof(double)), 0)
+          << threads << " threads, i=" << i;
+    }
   }
 }
 

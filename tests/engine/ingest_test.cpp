@@ -45,6 +45,16 @@ TEST(IngestRingTest, CapacityRoundsUpToPowerOfTwo) {
   EXPECT_EQ(IngestRing<int>(0).capacity(), 0u);
 }
 
+TEST(IngestRingTest, CapacityIsClampedToTheMaximum) {
+  // Above 2^63 the power-of-two round-up used to wrap to 0 and spin
+  // forever; every oversized request now lands on the documented cap.
+  EXPECT_EQ(IngestRing<char>(kMaxIngestCapacity + 1).capacity(),
+            kMaxIngestCapacity);
+  EXPECT_EQ(IngestRing<char>(std::numeric_limits<std::size_t>::max())
+                .capacity(),
+            kMaxIngestCapacity);
+}
+
 TEST(IngestRingTest, FifoOrderAndFullRejection) {
   IngestRing<int> ring(4);
   for (int v = 0; v < 4; ++v) EXPECT_TRUE(ring.try_push(v));

@@ -13,11 +13,13 @@
 # drain); the asan and tsan presets
 # build and run the full suite under each sanitizer (the tsan leg keeps TrackerEngine / WorkerPool /
 # ingest rings honest — engine_tests exercises concurrent producers,
-# session churn and batch ticks, and the fleet label re-proves the
-# sharded FleetRouter tier under the same load); the release preset
+# session churn and batch ticks, and the fleet label re-proves churn
+# and profile hot-swaps under the same load); the release preset
 # (-DNDEBUG, asserts compiled out) runs the release-guard label. The
 # `default` leg is the plain tier-1 pass: default preset build + full
-# ctest (backend-matrix and fleet gates first, as named artifacts).
+# ctest (backend-matrix and fleet gates first, as named artifacts). The
+# opt-in `scenario` leg runs the scenario-pack label alone (envelopes +
+# same-seed .vrlog bytes).
 #
 #   tools/run_checks.sh                  # matcher + asan + tsan + release
 #   tools/run_checks.sh default          # plain build + full suite
@@ -40,7 +42,7 @@ set -uo pipefail
 cd "$(dirname "$0")/.."
 
 all_legs=(matcher scalar replay daemon asan tsan release)
-known_legs=(matcher scalar replay daemon default asan tsan release)
+known_legs=(matcher scalar replay scenario daemon default asan tsan release)
 
 if [ "${1:-}" = "--list" ]; then
   printf '%s\n' "${known_legs[@]}"
@@ -126,8 +128,8 @@ run_leg() {
       # change hits before anything else in the suite.
       run_ctest backend-matrix backend-matrix || return 1
       echo "== ${leg}: fleet gate =="
-      # Sharded-serving invariants (routing, shard-count invariance,
-      # profile interning) as a named artifact before the full pass.
+      # Fleet-serving invariants (ingest lanes, profile interning and
+      # hot-swap release) as a named artifact before the full pass.
       run_ctest fleet fleet || return 1
       echo "== ${leg}: scenario gate =="
       # Scenario-pack envelopes + same-seed .vrlog bit-identity as a
@@ -159,6 +161,14 @@ run_leg() {
           --report "build/replay-reports/${name}.txt" || verify_rc=1
       done
       return "${verify_rc}"
+      ;;
+    scenario)
+      # Scenario-pack gate on its own (the default leg runs it too):
+      # every pack meets its accuracy envelope and records
+      # byte-identical .vrlogs for the same seed.
+      configure_build default || return 1
+      echo "== ${leg}: scenario tests =="
+      run_ctest scenario scenario
       ;;
     daemon)
       # Tracking-as-a-service gate: the daemon ctest label (protocol
@@ -196,9 +206,9 @@ run_leg() {
         # label must be TSan-clean before the full suite runs.
         echo "== ${leg}: backend-matrix gate =="
         run_ctest backend-matrix-tsan tsan-backend-matrix || return 1
-        # FleetRouter churn/hot-swap races concurrent producers against
-        # parallel-shard ticks across >= 2 shards: the fleet label is
-        # the sharded tier's data-race proof.
+        # Session churn and profile hot-swaps race concurrent producers
+        # against pooled batch ticks: the fleet label is the serving
+        # engine's data-race proof.
         echo "== ${leg}: fleet gate =="
         run_ctest fleet-tsan tsan-fleet || return 1
         # The daemon crosses reader threads, the tick loop and
@@ -207,7 +217,7 @@ run_leg() {
         echo "== ${leg}: daemon gate =="
         run_ctest daemon-tsan tsan-daemon || return 1
         # Scenario packs drive live session churn (create/destroy while
-        # producers feed and batch ticks run) through the fleet tier —
+        # producers feed and batch ticks run) through the engine —
         # the multi-occupant analogue of the fleet churn proof.
         echo "== ${leg}: scenario gate =="
         run_ctest scenario-tsan tsan-scenario || return 1

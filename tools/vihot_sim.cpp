@@ -5,8 +5,8 @@
 //                          --list-scenarios). The pack defines the whole
 //                          cabin — occupant roster, motion, interference,
 //                          faults — so it composes ONLY with --seed,
-//                          --duration, --threads, --shards, --record,
-//                          --csv and --metrics-out; any ad-hoc scenario
+//                          --duration, --threads, --record, --csv and
+//                          --metrics-out; any ad-hoc scenario
 //                          flag alongside --scenario is an error
 //     --list-scenarios     print the scenario-pack registry and exit
 //     --seed N             RNG seed (default 2024)
@@ -30,14 +30,8 @@
 //     --naive              also evaluate the Eq.-(5) baseline
 //     --camera             also evaluate the camera baseline
 //     --threads K          fleet mode: serve all sessions concurrently
-//                          through the fleet tier with K total workers
+//                          through one TrackerEngine with K workers
 //                          (0 = inline batches)
-//     --shards N           fleet mode: shard the sessions over N
-//                          TrackerEngines (FleetRouter; default 1).
-//                          --threads is the TOTAL worker budget, split
-//                          evenly across the shards. Incompatible with
-//                          --record, whose byte-reproducible call
-//                          sequence is only defined for one engine
 //     --faults             inject transport faults (loss, bursts,
 //                          reordering, clock jitter, NaN/Inf samples)
 //                          into the CSI and IMU feeds; implies fleet
@@ -57,9 +51,13 @@
 //                          families (obs::Registry snapshot) to PATH;
 //                          a .csv suffix selects CSV, anything else JSON
 //
+// Numeric values parse strictly (the whole token, range-checked); a bad
+// one prints usage and exits 2, like an unknown flag.
+//
 // Example: reproduce the Fig. 17b "w/o identifier" condition:
 //   vihot_sim --steering --no-identifier
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,6 +74,7 @@
 #include "sim/experiment.h"
 #include "sim/fleet.h"
 #include "util/angle.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -89,7 +88,7 @@ namespace {
                "  [--passenger] [--steering] [--no-identifier] "
                "[--vibration] [--interference]\n"
                "  [--music] [--seat-shift MM] [--naive] [--camera] "
-               "[--threads K] [--shards N] [--csv]\n"
+               "[--threads K] [--csv]\n"
                "  [--faults] [--fault-drop P] [--fault-nan P] "
                "[--async-ingest]\n"
                "  [--ingest-policy block|drop-oldest|drop-newest] "
@@ -101,9 +100,17 @@ namespace {
   std::exit(2);
 }
 
-double num_arg(int argc, char** argv, int& i, const char* argv0) {
-  if (i + 1 >= argc) usage(argv0);
-  return std::atof(argv[++i]);
+/// The next token as a number in [lo, hi]; usage + exit 2 otherwise.
+template <typename T = double>
+T num_arg(int argc, char** argv, int& i, T lo, T hi) {
+  if (i + 1 >= argc) usage(*argv);
+  const char* flag = argv[i];
+  T value{};
+  if (!vihot::util::parse_number(argv[++i], lo, hi, &value)) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag, argv[i]);
+    usage(*argv);
+  }
+  return value;
 }
 
 /// Snapshots the sink into PATH (CSV for a .csv suffix, JSON otherwise).
@@ -133,7 +140,6 @@ int main(int argc, char** argv) {
   bool csv = false;
   bool fleet = false;
   std::size_t threads = 0;
-  std::size_t shards = 1;
   std::string metrics_out;
   std::string record_out;
   std::string scenario_name;
@@ -149,8 +155,7 @@ int main(int argc, char** argv) {
     const std::string a = argv[i];
     if (adhoc_flag.empty() && a != "--scenario" && a != "--list-scenarios" &&
         a != "--seed" && a != "--duration" && a != "--threads" &&
-        a != "--shards" && a != "--record" && a != "--csv" &&
-        a != "--metrics-out") {
+        a != "--record" && a != "--csv" && a != "--metrics-out") {
       adhoc_flag = a;
     }
     if (a == "--scenario") {
@@ -159,18 +164,17 @@ int main(int argc, char** argv) {
     } else if (a == "--list-scenarios") {
       list_scenarios = true;
     } else if (a == "--seed") {
-      config.seed = static_cast<std::uint64_t>(num_arg(argc, argv, i, *argv));
+      config.seed = num_arg<std::uint64_t>(argc, argv, i, 0, UINT64_MAX);
       seed_set = true;
     } else if (a == "--sessions") {
       config.runtime_sessions =
-          static_cast<std::size_t>(num_arg(argc, argv, i, *argv));
+          num_arg<std::size_t>(argc, argv, i, 1, 100000);
     } else if (a == "--duration") {
-      config.runtime_duration_s = num_arg(argc, argv, i, *argv);
+      config.runtime_duration_s = num_arg(argc, argv, i, 0.1, 1e6);
       duration_set = true;
     } else if (a == "--layout") {
-      const int l = static_cast<int>(num_arg(argc, argv, i, *argv));
-      if (l < 1 || l > 5) usage(*argv);
-      config.layout = static_cast<channel::AntennaLayout>(l);
+      config.layout = static_cast<channel::AntennaLayout>(
+          num_arg<int>(argc, argv, i, 1, 5));
     } else if (a == "--driver") {
       if (i + 1 >= argc) usage(*argv);
       const std::string d = argv[++i];
@@ -180,12 +184,13 @@ int main(int argc, char** argv) {
       else usage(*argv);
     } else if (a == "--window-ms") {
       config.tracker.matcher.window_s =
-          num_arg(argc, argv, i, *argv) / 1000.0;
+          num_arg(argc, argv, i, 1.0, 1e4) / 1000.0;
     } else if (a == "--horizon-ms") {
-      config.prediction_horizon_s = num_arg(argc, argv, i, *argv) / 1000.0;
+      config.prediction_horizon_s =
+          num_arg(argc, argv, i, 0.0, 1e4) / 1000.0;
     } else if (a == "--turn-speed") {
       config.head_turn_speed_rad_s =
-          util::deg_to_rad(num_arg(argc, argv, i, *argv));
+          util::deg_to_rad(num_arg(argc, argv, i, 0.0, 1e4));
     } else if (a == "--passenger") {
       config.passenger_present = true;
     } else if (a == "--steering") {
@@ -199,7 +204,7 @@ int main(int argc, char** argv) {
     } else if (a == "--music") {
       config.music_playing = true;
     } else if (a == "--seat-shift") {
-      config.seat_shift_m = num_arg(argc, argv, i, *argv) / 1000.0;
+      config.seat_shift_m = num_arg(argc, argv, i, -1e3, 1e3) / 1000.0;
     } else if (a == "--sanitizer-backend") {
       if (i + 1 >= argc) usage(*argv);
       if (!core::parse_sanitizer_backend(argv[++i],
@@ -220,17 +225,13 @@ int main(int argc, char** argv) {
       config.collect_camera_baseline = true;
     } else if (a == "--threads") {
       fleet = true;
-      threads = static_cast<std::size_t>(num_arg(argc, argv, i, *argv));
-    } else if (a == "--shards") {
-      fleet = true;
-      shards = static_cast<std::size_t>(num_arg(argc, argv, i, *argv));
-      if (shards == 0) shards = 1;
+      threads = num_arg<std::size_t>(argc, argv, i, 0, 1024);
     } else if (a == "--faults") {
       config.faults.enabled = true;
     } else if (a == "--fault-drop") {
-      config.faults.drop_prob = num_arg(argc, argv, i, *argv);
+      config.faults.drop_prob = num_arg(argc, argv, i, 0.0, 1.0);
     } else if (a == "--fault-nan") {
-      config.faults.nan_prob = num_arg(argc, argv, i, *argv);
+      config.faults.nan_prob = num_arg(argc, argv, i, 0.0, 1.0);
     } else if (a == "--async-ingest") {
       config.async_ingest = true;
     } else if (a == "--ingest-policy") {
@@ -280,8 +281,8 @@ int main(int argc, char** argv) {
                    "error: --scenario is incompatible with %s: the pack "
                    "already defines the cabin (occupants, motion, "
                    "interference, faults); only --seed, --duration, "
-                   "--threads, --shards, --record, --csv and "
-                   "--metrics-out compose with it\n",
+                   "--threads, --record, --csv and --metrics-out "
+                   "compose with it\n",
                    adhoc_flag.c_str());
       usage(*argv);
     }
@@ -292,13 +293,6 @@ int main(int argc, char** argv) {
                    "--list-scenarios)\n",
                    scenario_name.c_str());
       usage(*argv);
-    }
-    if (!record_out.empty() && shards > 1) {
-      std::fprintf(stderr,
-                   "error: --record requires --shards 1 (the recorded "
-                   "call sequence is only deterministic for a "
-                   "single-engine fleet)\n");
-      return 2;
     }
     std::unique_ptr<replay::Recorder> recorder;
     if (!record_out.empty()) {
@@ -313,7 +307,6 @@ int main(int argc, char** argv) {
     }
     scenario::RunOptions opt;
     opt.threads = threads;
-    opt.shards = shards;
     opt.sink = &sink;
     opt.tap = recorder.get();
     opt.duration_override_s = duration_set ? config.runtime_duration_s : 0.0;
@@ -393,13 +386,6 @@ int main(int argc, char** argv) {
   }
 
   if (fleet) {
-    if (!record_out.empty() && shards > 1) {
-      std::fprintf(stderr,
-                   "error: --record requires --shards 1 (the recorded "
-                   "call sequence is only deterministic for a "
-                   "single-engine fleet)\n");
-      return 2;
-    }
     std::unique_ptr<replay::Recorder> recorder;
     if (!record_out.empty()) {
       replay::Recorder::Config rc;
@@ -413,7 +399,7 @@ int main(int argc, char** argv) {
     }
     const sim::FleetResult res = sim::run_fleet(
         config, threads, metrics_out.empty() ? nullptr : &sink,
-        recorder.get(), shards);
+        recorder.get());
     if (recorder != nullptr) {
       const replay::Recorder::Totals t = recorder->totals();
       if (!recorder->close()) {
@@ -438,19 +424,18 @@ int main(int argc, char** argv) {
     }
     if (csv) {
       std::printf(
-          "median_deg,mean_deg,p90_deg,n,sessions,shards,threads,ticks,"
+          "median_deg,mean_deg,p90_deg,n,sessions,threads,ticks,"
           "serve_wall_s,session_estimates_per_s\n"
-          "%.2f,%.2f,%.2f,%zu,%zu,%zu,%zu,%zu,%.3f,%.0f\n",
+          "%.2f,%.2f,%.2f,%zu,%zu,%zu,%zu,%.3f,%.0f\n",
           res.errors.median_deg(), res.errors.mean_deg(),
           res.errors.percentile_deg(90.0), res.errors.size(), res.sessions,
-          res.shards, threads, res.ticks, res.serve_wall_s,
+          threads, res.ticks, res.serve_wall_s,
           res.session_estimates_per_s);
       return 0;
     }
-    std::printf("ViHOT fleet summary (%zu sessions x %.0f s, %zu shard%s, "
-                "%zu worker threads)\n",
-                res.sessions, config.runtime_duration_s, res.shards,
-                res.shards == 1 ? "" : "s", threads);
+    std::printf("ViHOT fleet summary (%zu sessions x %.0f s, %zu worker "
+                "threads)\n",
+                res.sessions, config.runtime_duration_s, threads);
     std::printf("  errors:     median %.1f deg, mean %.1f, p90 %.1f "
                 "(n=%zu)\n",
                 res.errors.median_deg(), res.errors.mean_deg(),

@@ -1,18 +1,18 @@
 // vihotd: the tracking-as-a-service daemon.
 //
-//   vihotd --socket PATH [--shards N] [--threads-per-shard K]
-//          [--ingest-capacity N] [--ingest-policy block|drop-oldest|
-//          drop-newest] [--sub-capacity N] [--sub-policy ...]
+//   vihotd --socket PATH [--threads K] [--ingest-capacity N]
+//          [--ingest-policy block|drop-oldest|drop-newest]
+//          [--sub-capacity N] [--sub-policy ...]
 //          [--drain-timeout-ms N] [--health-on-exit PATH]
 //
-// Serves TrackerEngine sessions over a local socket (protocol in
-// src/daemon/protocol.h): feeders stream CSI/IMU/camera and tick the
-// clock, subscribers receive every tick's TrackResults, a control
-// client can read health JSON or request shutdown. SIGTERM/SIGINT
+// Serves the sessions of one TrackerEngine over a local socket
+// (protocol in src/daemon/protocol.h): feeders stream CSI/IMU/camera
+// and tick the clock, subscribers receive every tick's TrackResults, a
+// control client can read health JSON or request shutdown. SIGTERM/SIGINT
 // drain gracefully: stop accepting, reap feeders, flush subscriber
 // queues (terminating each stream with kBye), exit 0.
 
-#include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +21,8 @@
 #include <string>
 
 #include "daemon/daemon.h"
+#include "engine/ingest_ring.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -36,14 +38,14 @@ void on_signal(int) {
   std::fprintf(
       stderr,
       "usage: %s --socket PATH [options]\n"
-      "  --shards N              engine shards (default 1)\n"
-      "  --threads-per-shard K   worker threads per shard (default 0 = "
-      "inline)\n"
-      "  --ingest-capacity N     per-session ingest ring size (default "
-      "8192)\n"
+      "  --threads K             engine worker threads, at most 1024 "
+      "(default 0 = inline)\n"
+      "  --ingest-capacity N     per-session ingest ring size, at most "
+      "1048576 (default 8192)\n"
       "  --ingest-policy P       block|drop-oldest|drop-newest (default "
       "drop-oldest)\n"
-      "  --sub-capacity N        subscriber queue frames (default 64)\n"
+      "  --sub-capacity N        subscriber queue frames, at most 1048576 "
+      "(default 64)\n"
       "  --sub-policy P          subscriber overflow policy (default "
       "drop-oldest)\n"
       "  --drain-timeout-ms N    subscriber flush budget at shutdown "
@@ -78,27 +80,29 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numeric flags parse strictly: a bad value, or one outside
+    // [0, max], exits 2.
+    const auto num_arg = [&](auto max, decltype(max)* out) {
+      const char* v = next();
+      if (!util::parse_number(v, decltype(max){0}, max, out)) {
+        std::fprintf(stderr, "bad value for %s: %s\n", a.c_str(), v);
+        usage(argv[0]);
+      }
+    };
     if (a == "--socket") {
       config.socket_path = next();
-    } else if (a == "--shards") {
-      config.shards =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
-    } else if (a == "--threads-per-shard") {
-      config.threads_per_shard =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+    } else if (a == "--threads") {
+      num_arg(std::size_t{1024}, &config.threads);
     } else if (a == "--ingest-capacity") {
-      config.ingest_capacity =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      num_arg(engine::kMaxIngestCapacity, &config.ingest_capacity);
     } else if (a == "--ingest-policy") {
       if (!parse_policy(next(), &config.ingest_policy)) usage(argv[0]);
     } else if (a == "--sub-capacity") {
-      config.subscriber.capacity =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      num_arg(std::size_t{1} << 20, &config.subscriber.capacity);
     } else if (a == "--sub-policy") {
       if (!parse_policy(next(), &config.subscriber.policy)) usage(argv[0]);
     } else if (a == "--drain-timeout-ms") {
-      config.drain_timeout_ms =
-          static_cast<int>(std::strtol(next(), nullptr, 10));
+      num_arg(INT_MAX, &config.drain_timeout_ms);
     } else if (a == "--health-on-exit") {
       health_on_exit = next();
     } else {
@@ -119,9 +123,9 @@ int main(int argc, char** argv) {
   g_daemon = &daemon;
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
-  std::fprintf(stderr, "vihotd: serving on %s (%zu shard%s)\n",
-               config.socket_path.c_str(), daemon.fleet().num_shards(),
-               daemon.fleet().num_shards() == 1 ? "" : "s");
+  std::fprintf(stderr, "vihotd: serving on %s (%zu worker thread%s)\n",
+               config.socket_path.c_str(), config.threads,
+               config.threads == 1 ? "" : "s");
   daemon.serve();
   if (!health_on_exit.empty()) {
     std::ofstream os(health_on_exit);
