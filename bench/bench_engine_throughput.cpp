@@ -38,6 +38,7 @@
 #include "engine/tracker_engine.h"
 #include "obs/sink.h"
 #include "replay/recorder.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 namespace {
@@ -279,6 +280,14 @@ int run_record_ab(std::size_t sessions, std::size_t ticks,
   return 0;
 }
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--sessions N] [--ticks N] [--record] "
+               "[--fleet] [--threads N] [--json PATH]\n",
+               argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -291,27 +300,26 @@ int main(int argc, char** argv) {
   std::size_t threads = 0;
   std::string json_path = "BENCH_fleet.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      sessions = static_cast<std::size_t>(std::atoi(argv[++i]));
+    if (std::strcmp(argv[i], "--sessions") == 0) {
+      sessions = vihot::util::flag_number<std::size_t>(argc, argv, i, 1,
+                                                       1000000, usage);
       sessions_set = true;
-    } else if (std::strcmp(argv[i], "--ticks") == 0 && i + 1 < argc) {
-      ticks = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (std::strcmp(argv[i], "--ticks") == 0) {
+      ticks = vihot::util::flag_number<std::size_t>(argc, argv, i, 1,
+                                                    1000000, usage);
       ticks_set = true;
     } else if (std::strcmp(argv[i], "--record") == 0) {
       record_ab = true;
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
       fleet = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
       fleet = true;
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
+      threads = vihot::util::flag_number<std::size_t>(argc, argv, i, 0, 1024,
+                                                      usage);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--sessions N] [--ticks N] [--record] "
-                   "[--fleet] [--threads N] [--json PATH]\n",
-                   *argv);
-      return 2;
+      usage(*argv);
     }
   }
 

@@ -15,7 +15,11 @@
 //   2. Allocation-free producers: a global operator-new hook counts
 //      per-thread allocations; after a warm-up phase (which pays the
 //      one-time ring-cell vector growth) the timed phase must see ZERO
-//      allocations on every producer thread, or the bench exits 1.
+//      allocations on every producer thread, or the bench exits 1. The
+//      warm-up ends only once every producer has had a full ring of
+//      offers accepted on each stream of each of its sessions; if that
+//      takes longer than kWarmupCapS the bench fails instead of timing
+//      a cold ring.
 //   3. Sustained throughput under overload: offers/s, accepted vs
 //      dropped, and the batch-tick rate are reported side by side.
 //
@@ -23,6 +27,7 @@
 // drop/overflow counter) as JSON/CSV, same format as vihot_sim.
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <complex>
@@ -35,9 +40,11 @@
 #include <thread>
 #include <vector>
 
+#include "engine/ingest_ring.h"
 #include "engine/tracker_engine.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
+#include "util/parse_number.h"
 
 // ---------------------------------------------------------------------
 // Global allocation hook: counts every operator-new on the calling
@@ -93,6 +100,10 @@ vihot::core::CsiProfile make_profile() {
 
 enum class Phase : int { kWarmup, kTimed, kDone };
 
+/// Wall-clock bound on the warm-up; a fleet that cannot lap its rings in
+/// this time fails the run rather than entering the timed phase cold.
+constexpr double kWarmupCapS = 120.0;
+
 struct ProducerResult {
   std::uint64_t offers = 0;           ///< offer_* calls in the timed phase
   std::uint64_t accepted = 0;         ///< offers that returned true
@@ -102,10 +113,14 @@ struct ProducerResult {
 
 struct Shared {
   TrackerEngine* engine = nullptr;
+  std::uint64_t lap = 0;  ///< ring cells per stream (one full lap)
   std::atomic<Phase> phase{Phase::kWarmup};
   std::vector<std::atomic<double>> now;  ///< per-producer sim clock
-  explicit Shared(std::size_t producers) : now(producers) {
+  /// Per producer: every ring of its slice has seen `lap` accepted offers.
+  std::vector<std::atomic<bool>> lapped;
+  explicit Shared(std::size_t producers) : now(producers), lapped(producers) {
     for (auto& n : now) n.store(0.0);
+    for (auto& l : lapped) l.store(false);
   }
 };
 
@@ -128,6 +143,16 @@ void produce(Shared& shared, std::size_t slot,
   std::uint64_t alloc_base = 0;
   bool timed = false;
   TrackerEngine& eng = *shared.engine;
+  // Warm-up bookkeeping: accepted offers per session and stream, and how
+  // many sessions have reached a full lap on each stream.
+  std::vector<std::uint64_t> csi_hits(ids.size(), 0);
+  std::vector<std::uint64_t> imu_hits(ids.size(), 0);
+  std::size_t csi_lapped = 0;
+  std::size_t imu_lapped = 0;
+  const auto count_hit = [&](std::vector<std::uint64_t>& hits, std::size_t k,
+                             std::size_t& lapped) {
+    if (!timed && ++hits[k] == shared.lap) ++lapped;
+  };
 
   for (;;) {
     const Phase phase = shared.phase.load(std::memory_order_acquire);
@@ -146,17 +171,26 @@ void produce(Shared& shared, std::size_t slot,
     for (std::size_t a = 0; a < 4; ++a) {
       m.h[0][a] = std::polar(1.0, phi);
     }
-    for (const SessionId id : ids) {
+    for (std::size_t k = 0; k < ids.size(); ++k) {
       m.t = t;
       ++offers;
-      accepted += eng.offer_csi(id, m) ? 1 : 0;
+      if (eng.offer_csi(ids[k], m)) {
+        ++accepted;
+        count_hit(csi_hits, k, csi_lapped);
+      }
       if ((iter & 3u) == 0) {
         imu.t = t;
         imu.gyro_yaw_rad_s = 0.1 * std::cos(0.37 * t);
         imu.accel_lateral_mps2 = 0.0;
         ++offers;
-        accepted += eng.offer_imu(id, imu) ? 1 : 0;
+        if (eng.offer_imu(ids[k], imu)) {
+          ++accepted;
+          count_hit(imu_hits, k, imu_lapped);
+        }
       }
+    }
+    if (!timed && csi_lapped == ids.size() && imu_lapped == ids.size()) {
+      shared.lapped[slot].store(true, std::memory_order_release);
     }
     ++iter;
     if ((iter & 255u) == 0) {
@@ -184,6 +218,15 @@ bool write_metrics(const vihot::obs::Sink& sink, const std::string& path) {
   return static_cast<bool>(os);
 }
 
+[[noreturn]] void usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [--sessions N] [--producers N] [--seconds S]\n"
+               "  [--capacity N] [--policy block|drop-oldest|drop-newest]\n"
+               "  [--threads K] [--metrics-out PATH]\n",
+               argv0);
+  std::exit(2);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,22 +243,21 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
+      if (i + 1 >= argc) usage(*argv);
       return argv[++i];
     };
     if (a == "--sessions") {
-      sessions = static_cast<std::size_t>(std::atoi(next()));
+      sessions =
+          util::flag_number<std::size_t>(argc, argv, i, 1, 1000000, usage);
     } else if (a == "--producers") {
-      producers = static_cast<std::size_t>(std::atoi(next()));
+      producers = util::flag_number<std::size_t>(argc, argv, i, 1, 64, usage);
     } else if (a == "--seconds") {
-      seconds = std::atof(next());
+      seconds = util::flag_number(argc, argv, i, 0.1, 1e5, usage);
     } else if (a == "--capacity") {
-      capacity = static_cast<std::size_t>(std::atoi(next()));
+      capacity = util::flag_number<std::size_t>(
+          argc, argv, i, 1, engine::kMaxIngestCapacity, usage);
     } else if (a == "--threads") {
-      threads = static_cast<std::size_t>(std::atoi(next()));
+      threads = util::flag_number<std::size_t>(argc, argv, i, 0, 1024, usage);
     } else if (a == "--policy") {
       const std::string p = next();
       policy_name = argv[i];
@@ -232,16 +274,9 @@ int main(int argc, char** argv) {
     } else if (a == "--metrics-out") {
       metrics_out = next();
     } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--sessions N] [--producers N] [--seconds S]\n"
-          "  [--capacity N] [--policy block|drop-oldest|drop-newest]\n"
-          "  [--threads K] [--metrics-out PATH]\n",
-          *argv);
-      return 2;
+      usage(*argv);
     }
   }
-  if (producers == 0) producers = 1;
   if (sessions < producers) sessions = producers;
 
   obs::Sink sink;
@@ -270,6 +305,8 @@ int main(int argc, char** argv) {
 
   Shared shared(producers);
   shared.engine = &engine;
+  // The rings round their capacity up to a power of two.
+  shared.lap = std::bit_ceil(capacity);
   std::vector<ProducerResult> results(producers);
   std::vector<std::thread> pool;
   pool.reserve(producers);
@@ -277,17 +314,13 @@ int main(int argc, char** argv) {
     pool.emplace_back([&, p] { produce(shared, p, slices[p], results[p]); });
   }
 
-  // Warm-up: long enough for every ring cell to be written at least
-  // once (one full lap warms the cell vectors' capacity) and for the
-  // phase buffers to reach steady-state trimming.
-  const auto tick = [&](double until_wall_s) {
+  // Ticks estimate_all() until done(elapsed wall seconds) holds.
+  const auto tick = [&](auto done) {
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t ticks = 0;
     for (;;) {
       const auto now = std::chrono::steady_clock::now();
-      if (std::chrono::duration<double>(now - start).count() >= until_wall_s) {
-        break;
-      }
+      if (done(std::chrono::duration<double>(now - start).count())) break;
       // Estimate at the slowest producer's sim clock, so no session is
       // asked about a future its feed has not reached yet.
       double t_est = shared.now[0].load(std::memory_order_relaxed);
@@ -301,10 +334,36 @@ int main(int argc, char** argv) {
     return ticks;
   };
 
-  (void)tick(std::max(0.5, seconds * 0.2));
+  // Warm-up: until every ring cell has been written at least once (one
+  // full lap warms the cell vectors' capacity), and at least long enough
+  // for the phase buffers to reach steady-state trimming.
+  const auto all_lapped = [&] {
+    return std::all_of(shared.lapped.begin(), shared.lapped.end(),
+                       [](const std::atomic<bool>& l) {
+                         return l.load(std::memory_order_acquire);
+                       });
+  };
+  const double min_warmup_s = std::max(0.5, seconds * 0.2);
+  const auto warm_start = std::chrono::steady_clock::now();
+  (void)tick([&](double s) {
+    return s >= kWarmupCapS || (s >= min_warmup_s && all_lapped());
+  });
+  if (!all_lapped()) {
+    shared.phase.store(Phase::kDone, std::memory_order_release);
+    for (std::thread& th : pool) th.join();
+    std::fprintf(stderr,
+                 "error: warm-up did not lap every ingest ring within "
+                 "%.0f s; the timed phase would start cold\n",
+                 kWarmupCapS);
+    return 1;
+  }
+  std::printf("  warm-up:    every ring lapped after %.1f s\n",
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            warm_start)
+                  .count());
   shared.phase.store(Phase::kTimed, std::memory_order_release);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::uint64_t ticks = tick(seconds);
+  const std::uint64_t ticks = tick([&](double s) { return s >= seconds; });
   const auto t1 = std::chrono::steady_clock::now();
   shared.phase.store(Phase::kDone, std::memory_order_release);
   for (std::thread& th : pool) th.join();

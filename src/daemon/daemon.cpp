@@ -476,7 +476,6 @@ std::string Daemon::health_json() {
   sink_.attach_to(registry);
   std::ostringstream metrics;
   registry.write_json(metrics);
-  // Indent the nested object to keep the report readable.
   os << metrics.str() << "\n}\n";
   return os.str();
 }

@@ -3,176 +3,30 @@
 namespace vihot::obs {
 
 void Sink::attach_to(Registry& registry, const std::string& prefix) const {
-  const std::string t = prefix + "tracker.";
-  registry.attach(t + "estimates", tracker.estimates);
-  registry.attach(t + "mode_csi", tracker.mode_csi);
-  registry.attach(t + "mode_fallback", tracker.mode_fallback);
-  registry.attach(t + "csi_out_of_order", tracker.csi_out_of_order);
-  registry.attach(t + "fallback_engaged", tracker.fallback_engaged);
-  registry.attach(t + "fallback_served", tracker.fallback_served);
-  registry.attach(t + "fallback_stale", tracker.fallback_stale);
-  registry.attach(t + "window_flat", tracker.window_flat);
-  registry.attach(t + "window_hinted", tracker.window_hinted);
-  registry.attach(t + "window_global", tracker.window_global);
-  registry.attach(t + "window_uncovered", tracker.window_uncovered);
-  registry.attach(t + "match_attempts", tracker.match_attempts);
-  registry.attach(t + "match_invalid", tracker.match_invalid);
-  registry.attach(t + "match_candidates", tracker.match_candidates);
-  registry.attach(t + "match_lb_endpoint_pruned",
-                  tracker.match_lb_endpoint_pruned);
-  registry.attach(t + "match_lb_band_pruned", tracker.match_lb_band_pruned);
-  registry.attach(t + "match_dtw_abandoned", tracker.match_dtw_abandoned);
-  registry.attach(t + "match_dtw_evaluated", tracker.match_dtw_evaluated);
-  registry.attach(t + "match_hits_filtered", tracker.match_hits_filtered);
-  registry.attach(t + "dtw_best_cost", tracker.dtw_best_cost);
-  registry.attach(t + "dtw_candidates", tracker.dtw_candidates);
-  registry.attach(t + "phase_bias_abs", tracker.phase_bias_abs);
-  registry.attach(t + "relock_widen", tracker.relock_widen);
-  registry.attach(t + "relock_global", tracker.relock_global);
-  registry.attach(t + "relock_accepted", tracker.relock_accepted);
-  registry.attach(t + "stale_window_relocks", tracker.stale_window_relocks);
-  registry.attach(t + "tie_break_applied", tracker.tie_break_applied);
-  registry.attach(t + "stable_phase_locks", tracker.stable_phase_locks);
-
-  const std::string b = t + "backend.";
-  registry.attach(b + "eq3_frames", tracker.backend_eq3_frames);
-  registry.attach(b + "kalman_frames", tracker.backend_kalman_frames);
-  registry.attach(b + "dtw_estimates", tracker.backend_dtw_estimates);
-  registry.attach(b + "ekf_estimates", tracker.backend_ekf_estimates);
-  registry.attach(b + "antenna_degraded",
-                  tracker.sanitizer_antenna_degraded);
-  registry.attach(b + "kalman_outliers_gated",
-                  tracker.kalman_outliers_gated);
-  registry.attach(b + "kalman_state_resets", tracker.kalman_state_resets);
-  registry.attach(b + "ekf_propagations", tracker.ekf_propagations);
-  registry.attach(b + "ekf_updates", tracker.ekf_updates);
-  registry.attach(b + "ekf_innovation_gated",
-                  tracker.ekf_innovation_gated);
-  registry.attach(b + "ekf_relocks", tracker.ekf_relocks);
-  registry.attach(b + "ekf_camera_updates", tracker.ekf_camera_updates);
-
-  const std::string e = prefix + "engine.";
-  registry.attach(e + "batches", engine.batches);
-  registry.attach(e + "batch_estimates", engine.batch_estimates);
-  registry.attach(e + "batch_latency_us", engine.batch_latency_us);
-  registry.attach(e + "sessions_created", engine.sessions_created);
-  registry.attach(e + "sessions_destroyed", engine.sessions_destroyed);
-  registry.attach(e + "unknown_session", engine.unknown_session);
-  registry.attach(e + "profile_swaps", engine.profile_swaps);
-  registry.attach(e + "csi_frames", engine.csi_frames);
-  registry.attach(e + "imu_samples", engine.imu_samples);
-  registry.attach(e + "camera_frames", engine.camera_frames);
-  registry.attach(e + "out_of_order_csi", engine.out_of_order_csi);
-  registry.attach(e + "out_of_order_imu", engine.out_of_order_imu);
-  registry.attach(e + "out_of_order_camera", engine.out_of_order_camera);
-  registry.attach(e + "non_finite_csi", engine.non_finite_csi);
-  registry.attach(e + "non_finite_imu", engine.non_finite_imu);
-  registry.attach(e + "non_finite_camera", engine.non_finite_camera);
-  registry.attach(e + "csi_feed_gap_ms", engine.csi_feed_gap_ms);
-
-  const std::string i = prefix + "ingest.";
-  registry.attach(i + "csi_enqueued", ingest.csi_enqueued);
-  registry.attach(i + "imu_enqueued", ingest.imu_enqueued);
-  registry.attach(i + "csi_dropped_newest", ingest.csi_dropped_newest);
-  registry.attach(i + "csi_dropped_oldest", ingest.csi_dropped_oldest);
-  registry.attach(i + "imu_dropped_newest", ingest.imu_dropped_newest);
-  registry.attach(i + "imu_dropped_oldest", ingest.imu_dropped_oldest);
-  registry.attach(i + "block_retries", ingest.block_retries);
-  registry.attach(i + "block_timeouts", ingest.block_timeouts);
-  registry.attach(i + "high_watermark", ingest.high_watermark);
-  registry.attach(i + "drain_passes", ingest.drain_passes);
-  registry.attach(i + "drained_csi", ingest.drained_csi);
-  registry.attach(i + "drained_imu", ingest.drained_imu);
-  registry.attach(i + "drain_batch", ingest.drain_batch);
-  registry.attach(i + "queue_depth_csi", ingest.queue_depth_csi);
-
-  const std::string p = prefix + "profile_store.";
-  registry.attach(p + "interned", profile_store.interned);
-  registry.attach(p + "dedup_hits", profile_store.dedup_hits);
-  registry.attach(p + "evicted", profile_store.evicted);
-
-  const std::string d = prefix + "daemon.";
-  registry.attach(d + "connections_accepted", daemon.connections_accepted);
-  registry.attach(d + "connections_closed", daemon.connections_closed);
-  registry.attach(d + "protocol_errors", daemon.protocol_errors);
-  registry.attach(d + "frames_rx", daemon.frames_rx);
-  registry.attach(d + "bytes_rx", daemon.bytes_rx);
-  registry.attach(d + "bytes_tx", daemon.bytes_tx);
-  registry.attach(d + "feed_csi", daemon.feed_csi);
-  registry.attach(d + "feed_imu", daemon.feed_imu);
-  registry.attach(d + "feed_camera", daemon.feed_camera);
-  registry.attach(d + "feed_rejected", daemon.feed_rejected);
-  registry.attach(d + "sessions_opened", daemon.sessions_opened);
-  registry.attach(d + "sessions_closed", daemon.sessions_closed);
-  registry.attach(d + "sessions_orphaned", daemon.sessions_orphaned);
-  registry.attach(d + "ticks", daemon.ticks);
-  registry.attach(d + "results_fanned_out", daemon.results_fanned_out);
-  registry.attach(d + "subscribers_added", daemon.subscribers_added);
-  registry.attach(d + "subscribers_removed", daemon.subscribers_removed);
-  registry.attach(d + "sub_dropped_oldest", daemon.sub_dropped_oldest);
-  registry.attach(d + "sub_dropped_newest", daemon.sub_dropped_newest);
-  registry.attach(d + "sub_block_timeouts", daemon.sub_block_timeouts);
-  registry.attach(d + "sub_send_errors", daemon.sub_send_errors);
-  registry.attach(d + "sub_queue_depth", daemon.sub_queue_depth);
-  registry.attach(d + "health_requests", daemon.health_requests);
-  registry.attach(d + "shutdown_requests", daemon.shutdown_requests);
-
-  const std::string r = prefix + "replay.";
-  registry.attach(r + "frames_recorded", replay.frames_recorded);
-  registry.attach(r + "bytes_written", replay.bytes_written);
-  registry.attach(r + "writer_flushes", replay.writer_flushes);
-  registry.attach(r + "staging_drops", replay.staging_drops);
-
-  const std::string sc = prefix + "scenario.";
-  registry.attach(sc + "runs", scenario.runs);
-  registry.attach(sc + "envelope_pass", scenario.envelope_pass);
-  registry.attach(sc + "envelope_fail", scenario.envelope_fail);
-  registry.attach(sc + "sessions_opened", scenario.sessions_opened);
-  registry.attach(sc + "sessions_closed", scenario.sessions_closed);
-  registry.attach(sc + "ticks", scenario.ticks);
-  registry.attach(sc + "occupants_tracked", scenario.occupants_tracked);
-  registry.attach(sc + "occupants_untracked", scenario.occupants_untracked);
-  registry.attach(sc + "relock_s", scenario.relock_s);
+  const auto attach_family = [&](const char* family, const auto& stats) {
+    const std::string base = prefix + family + ".";
+    stats.for_each_metric([&](const char* suffix, const auto& metric) {
+      registry.attach(base + suffix, metric);
+    });
+  };
+  attach_family("tracker", tracker);
+  attach_family("engine", engine);
+  attach_family("ingest", ingest);
+  attach_family("profile_store", profile_store);
+  attach_family("daemon", daemon);
+  attach_family("replay", replay);
+  attach_family("scenario", scenario);
 }
 
 TrackerStatsSnapshot snapshot(const TrackerStats& stats) {
   TrackerStatsSnapshot out;
-  out.estimates = stats.estimates.value();
-  out.mode_csi = stats.mode_csi.value();
-  out.mode_fallback = stats.mode_fallback.value();
-  out.csi_out_of_order = stats.csi_out_of_order.value();
-  out.fallback_engaged = stats.fallback_engaged.value();
-  out.window_flat = stats.window_flat.value();
-  out.window_hinted = stats.window_hinted.value();
-  out.window_global = stats.window_global.value();
-  out.window_uncovered = stats.window_uncovered.value();
-  out.match_attempts = stats.match_attempts.value();
-  out.match_invalid = stats.match_invalid.value();
-  out.match_candidates = stats.match_candidates.value();
-  out.match_lb_endpoint_pruned = stats.match_lb_endpoint_pruned.value();
-  out.match_lb_band_pruned = stats.match_lb_band_pruned.value();
-  out.match_dtw_abandoned = stats.match_dtw_abandoned.value();
-  out.match_dtw_evaluated = stats.match_dtw_evaluated.value();
-  out.match_hits_filtered = stats.match_hits_filtered.value();
-  out.relock_widen = stats.relock_widen.value();
-  out.relock_global = stats.relock_global.value();
-  out.relock_accepted = stats.relock_accepted.value();
-  out.stale_window_relocks = stats.stale_window_relocks.value();
-  out.tie_break_applied = stats.tie_break_applied.value();
-  out.stable_phase_locks = stats.stable_phase_locks.value();
-  out.backend_eq3_frames = stats.backend_eq3_frames.value();
-  out.backend_kalman_frames = stats.backend_kalman_frames.value();
-  out.backend_dtw_estimates = stats.backend_dtw_estimates.value();
-  out.backend_ekf_estimates = stats.backend_ekf_estimates.value();
-  out.sanitizer_antenna_degraded = stats.sanitizer_antenna_degraded.value();
-  out.kalman_outliers_gated = stats.kalman_outliers_gated.value();
-  out.kalman_state_resets = stats.kalman_state_resets.value();
-  out.ekf_propagations = stats.ekf_propagations.value();
-  out.ekf_updates = stats.ekf_updates.value();
-  out.ekf_innovation_gated = stats.ekf_innovation_gated.value();
-  out.ekf_relocks = stats.ekf_relocks.value();
-  out.ekf_camera_updates = stats.ekf_camera_updates.value();
-  out.dtw_best_cost_mean = stats.dtw_best_cost.mean();
+#define VIHOT_OBS_COPY_COUNTER(member, suffix) \
+  out.member = stats.member.value();
+#define VIHOT_OBS_COPY_HISTOGRAM(member, suffix, ...) \
+  out.member##_mean = stats.member.mean();
+  VIHOT_OBS_TRACKER_METRICS(VIHOT_OBS_COPY_COUNTER, VIHOT_OBS_COPY_HISTOGRAM)
+#undef VIHOT_OBS_COPY_COUNTER
+#undef VIHOT_OBS_COPY_HISTOGRAM
   return out;
 }
 

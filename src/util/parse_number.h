@@ -6,6 +6,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <system_error>
 
@@ -22,6 +23,22 @@ template <typename T>
   }
   *out = value;
   return true;
+}
+
+/// The value of the flag at argv[i] as a number in [lo, hi], advancing i
+/// past it. A missing or bad value prints "bad value for <flag>" and
+/// calls usage(argv[0]), which must not return.
+template <typename T>
+T flag_number(int argc, char** argv, int& i, T lo, T hi,
+              void (*usage)(const char*)) {
+  const char* flag = argv[i];
+  if (i + 1 >= argc) usage(argv[0]);
+  T value{};
+  if (!parse_number(argv[++i], lo, hi, &value)) {
+    std::fprintf(stderr, "bad value for %s: %s\n", flag, argv[i]);
+    usage(argv[0]);
+  }
+  return value;
 }
 
 }  // namespace vihot::util

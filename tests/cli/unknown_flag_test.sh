@@ -35,6 +35,25 @@ for bin in "$@"; do
   probe "$bin" "the retired --shards flag" --shards 2
   probe "$bin" "a non-numeric thread count" --threads abc
   case "$(basename "$bin")" in
+    vihot_replay*)
+      # The top-level --threads probe lands in the mode slot; these
+      # reach the flag parser (strtoull read "abc" as 0).
+      probe "$bin" "a non-numeric --threads" \
+        verify /nonexistent.vrlog --threads abc
+      probe "$bin" "a non-numeric --at-offset" \
+        replay /nonexistent.vrlog --at-offset abc
+      ;;
+    vihot_loadgen*)
+      # With --socket and --log present, only the number can fail the
+      # parse (strtoull read "-1" as 2^64-1 replica threads).
+      probe "$bin" "a negative replica count" soak \
+        --socket "${TMPDIR:-/tmp}/cli-probe-never-bound.sock" \
+        --log /nonexistent.vrlog --replicas -1
+      ;;
+    vihot_trace*)
+      probe "$bin" "a non-numeric duration" \
+        record "${TMPDIR:-/tmp}/cli-probe-never-written" --duration abc
+      ;;
     vihotd*)
       # strtoull read "-1" as 2^64-1, and the ring round-up then hung.
       probe "$bin" "a negative ingest capacity" \

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -186,15 +188,61 @@ TEST(SinkTest, AttachRegistersTrackerAndEngineFamilies) {
   EXPECT_EQ(prefixed.counter_value("car7.tracker.estimates"), 4u);
 }
 
+// The exported names are a contract: vihotd's health JSON, --metrics-out
+// files and the serving benchmark all read them. Every Sink member must
+// keep its name and order, so the registry's CSV is pinned line by line
+// against a checked-in list (regenerate it only for a deliberate rename
+// or a new metric).
+TEST(SinkTest, ExportedNamesMatchGolden) {
+  Sink sink;
+  Registry reg;
+  sink.attach_to(reg);
+  std::ostringstream os;
+  reg.write_csv(os);
+
+  // One name per metric: a counter's "value" row or a histogram's first
+  // ("count") row; the header and the other histogram rows are skipped.
+  std::vector<std::string> names;
+  std::istringstream csv(os.str());
+  std::string line;
+  while (std::getline(csv, line)) {
+    std::istringstream row(line);
+    std::string kind, name, field;
+    std::getline(row, kind, ',');
+    std::getline(row, name, ',');
+    std::getline(row, field, ',');
+    if ((kind == "counter" && field == "value") ||
+        (kind == "histogram" && field == "count")) {
+      names.push_back(name);
+    }
+  }
+
+  std::ifstream in(VIHOT_METRIC_NAMES_GOLDEN);
+  ASSERT_TRUE(in) << "missing " << VIHOT_METRIC_NAMES_GOLDEN;
+  std::vector<std::string> golden;
+  while (std::getline(in, line)) {
+    if (!line.empty()) golden.push_back(line);
+  }
+
+  EXPECT_EQ(names, golden);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size())
+      << "an exported metric name repeats";
+}
+
 TEST(SinkTest, SnapshotCopiesCounters) {
   Sink sink;
   sink.tracker.estimates.inc(9);
   sink.tracker.relock_widen.inc(2);
+  sink.tracker.fallback_served.inc(5);
+  sink.tracker.fallback_stale.inc(7);
   sink.tracker.dtw_best_cost.observe(0.5);
   sink.tracker.dtw_best_cost.observe(1.5);
   const TrackerStatsSnapshot snap = snapshot(sink.tracker);
   EXPECT_EQ(snap.estimates, 9u);
   EXPECT_EQ(snap.relock_widen, 2u);
+  EXPECT_EQ(snap.fallback_served, 5u);
+  EXPECT_EQ(snap.fallback_stale, 7u);
   EXPECT_DOUBLE_EQ(snap.dtw_best_cost_mean, 1.0);
 }
 

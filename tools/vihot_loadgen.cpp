@@ -20,6 +20,7 @@
 // replay layer's --at-offset uses).
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "daemon/loadgen.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -92,34 +94,38 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Each replica and subscriber is one thread.
+    const auto count_arg = [&] {
+      return util::flag_number<std::size_t>(argc, argv, i, 0, 1024, usage);
+    };
     if (a == "--socket") {
       options.socket_path = next();
     } else if (a == "--log") {
       log_path = next();
     } else if (a == "--replicas") {
-      replicas = static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      replicas = count_arg();
     } else if (a == "--subscribers") {
-      subscribers =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      subscribers = count_arg();
     } else if (a == "--spacing") {
-      options.replica_spacing = std::strtod(next(), nullptr);
+      options.replica_spacing =
+          util::flag_number(argc, argv, i, 0.0, 1e9, usage);
     } else if (a == "--offset") {
-      options.base_offset = std::strtod(next(), nullptr);
+      options.base_offset = util::flag_number(argc, argv, i, -1e9, 1e9, usage);
     } else if (a == "--disconnect-replicas") {
-      disconnect_replicas =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+      disconnect_replicas = count_arg();
     } else if (a == "--disconnect-after") {
-      disconnect_after = std::strtoull(next(), nullptr, 10);
+      disconnect_after = util::flag_number<std::uint64_t>(
+          argc, argv, i, 0, UINT64_MAX, usage);
     } else if (a == "--slow-subscriber-ms") {
-      slow_subscriber_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      slow_subscriber_ms = util::flag_number(argc, argv, i, 0, 60000, usage);
     } else if (a == "--sub-policy") {
       if (!parse_policy_u8(next(), &sub_req.policy)) usage(argv[0]);
       sub_req.has_policy = true;
     } else if (a == "--sub-capacity") {
-      sub_req.capacity =
-          static_cast<std::uint32_t>(std::strtoull(next(), nullptr, 10));
+      sub_req.capacity = util::flag_number<std::uint32_t>(
+          argc, argv, i, 0, UINT32_MAX, usage);
     } else if (a == "--timeout-ms") {
-      options.timeout_ms = static_cast<int>(std::strtol(next(), nullptr, 10));
+      options.timeout_ms = util::flag_number(argc, argv, i, 1, 3600000, usage);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       usage(argv[0]);

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "replay/replayer.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -64,15 +65,14 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--threads") {
-      if (i + 1 >= argc) usage(argv[0]);
       options.num_threads =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+          util::flag_number<std::size_t>(argc, argv, i, 0, 1024, usage);
     } else if (a == "--report") {
       if (i + 1 >= argc) usage(argv[0]);
       report_path = argv[++i];
     } else if (a == "--at-offset") {
-      if (i + 1 >= argc) usage(argv[0]);
-      options.time_offset = std::strtod(argv[++i], nullptr);
+      options.time_offset =
+          util::flag_number(argc, argv, i, -1e9, 1e9, usage);
     } else if (a == "--sanitizer-backend") {
       if (i + 1 >= argc) usage(argv[0]);
       core::SanitizerBackend backend;

@@ -103,14 +103,7 @@ namespace {
 /// The next token as a number in [lo, hi]; usage + exit 2 otherwise.
 template <typename T = double>
 T num_arg(int argc, char** argv, int& i, T lo, T hi) {
-  if (i + 1 >= argc) usage(*argv);
-  const char* flag = argv[i];
-  T value{};
-  if (!vihot::util::parse_number(argv[++i], lo, hi, &value)) {
-    std::fprintf(stderr, "bad value for %s: %s\n", flag, argv[i]);
-    usage(*argv);
-  }
-  return value;
+  return vihot::util::flag_number(argc, argv, i, lo, hi, usage);
 }
 
 /// Snapshots the sink into PATH (CSV for a .csv suffix, JSON otherwise).
@@ -525,14 +518,17 @@ int main(int argc, char** argv) {
   }
   const obs::TrackerStatsSnapshot& st = res.stage_stats;
   std::printf("  stages:     windows flat/hinted/global %llu/%llu/%llu; "
-              "relocks %llu (%llu accepted); tie-breaks %llu\n",
+              "relocks %llu (%llu accepted); tie-breaks %llu; "
+              "fallback served/stale %llu/%llu\n",
               static_cast<unsigned long long>(st.window_flat),
               static_cast<unsigned long long>(st.window_hinted),
               static_cast<unsigned long long>(st.window_global),
               static_cast<unsigned long long>(st.relock_widen +
                                               st.relock_global),
               static_cast<unsigned long long>(st.relock_accepted),
-              static_cast<unsigned long long>(st.tie_break_applied));
+              static_cast<unsigned long long>(st.tie_break_applied),
+              static_cast<unsigned long long>(st.fallback_served),
+              static_cast<unsigned long long>(st.fallback_stale));
   if (!metrics_out.empty()) {
     std::printf("  metrics:    written to %s\n", metrics_out.c_str());
   }

@@ -8,6 +8,7 @@
 //       replays <prefix>.csi/.imu through ViHotTracker and scores
 //       against <prefix>.truth
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include "core/profile_io.h"
 #include "sim/metrics.h"
 #include "util/angle.h"
+#include "util/parse_number.h"
 #include "wifi/trace_io.h"
 
 namespace {
@@ -176,14 +178,12 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--seed") {
-      if (i + 1 >= argc) usage(argv[0]);
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      seed = util::flag_number<std::uint64_t>(argc, argv, i, 0, UINT64_MAX,
+                                              usage);
     } else if (a == "--duration") {
-      if (i + 1 >= argc) usage(argv[0]);
-      duration = std::atof(argv[++i]);
+      duration = util::flag_number(argc, argv, i, 0.1, 1e6, usage);
     } else if (a == "--window-ms") {
-      if (i + 1 >= argc) usage(argv[0]);
-      window_ms = std::atof(argv[++i]);
+      window_ms = util::flag_number(argc, argv, i, 1.0, 1e4, usage);
     } else if (a == "--steering") {
       steering = true;
     } else {
