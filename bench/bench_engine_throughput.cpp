@@ -18,9 +18,9 @@
 //
 // --fleet instead runs the fleet latency profile: a 10k+ session roster
 // served through one engine with --threads workers (default: one per
-// core, at most 8), per-tick wall latency recorded for every tick and
-// reported as p50/p99 against the 10 Hz serving budget (100 ms per
-// tick) — the SLO line. The same numbers are written machine-readable to
+// core, at most 8; 0 ticks inline on the calling thread), per-tick wall
+// latency recorded for every tick and reported as p50/p99 against the
+// 10 Hz serving budget (100 ms per tick) — the SLO line. The same numbers are written machine-readable to
 // --json PATH (default BENCH_fleet.json) for CI artifact upload.
 #include <algorithm>
 #include <chrono>
@@ -31,6 +31,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -130,7 +131,7 @@ RunStats run_recorded(std::size_t num_sessions, std::size_t num_ticks,
                       const std::shared_ptr<const vihot::core::CsiProfile>&
                           profile,
                       vihot::engine::RecordTap* tap) {
-  TrackerEngine engine({1, nullptr, true, {}, tap});
+  TrackerEngine engine({1, nullptr, {}, tap});
   std::vector<SessionId> ids;
   for (std::size_t s = 0; s < num_sessions; ++s) {
     ids.push_back(engine.create_session(profile));
@@ -283,7 +284,10 @@ int run_record_ab(std::size_t sessions, std::size_t ticks,
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--sessions N] [--ticks N] [--record] "
-               "[--fleet] [--threads N] [--json PATH]\n",
+               "[--fleet] [--threads N] [--json PATH]\n"
+               "  --threads N  fleet-mode worker threads, 0 = inline on "
+               "the ticking thread\n"
+               "               (default: one per core, at most 8)\n",
                argv0);
   std::exit(2);
 }
@@ -297,7 +301,7 @@ int main(int argc, char** argv) {
   bool ticks_set = false;
   bool record_ab = false;
   bool fleet = false;
-  std::size_t threads = 0;
+  std::optional<std::size_t> threads;
   std::string json_path = "BENCH_fleet.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0) {
@@ -314,8 +318,8 @@ int main(int argc, char** argv) {
       fleet = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       fleet = true;
-      threads = vihot::util::flag_number<std::size_t>(argc, argv, i, 0, 1024,
-                                                      usage);
+      threads = vihot::util::flag_number<std::size_t>(
+          argc, argv, i, 0, vihot::engine::kMaxWorkerThreads, usage);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -330,11 +334,11 @@ int main(int argc, char** argv) {
     // Fleet-scale defaults: a 10k-session roster, one worker per core.
     if (!sessions_set) sessions = 10000;
     if (!ticks_set) ticks = 25;
-    if (threads == 0) {
-      threads = std::max(1u, std::thread::hardware_concurrency());
-      threads = std::min<std::size_t>(threads, 8);
+    if (!threads) {
+      threads = std::min<std::size_t>(
+          std::max(1u, std::thread::hardware_concurrency()), 8);
     }
-    return run_fleet_latency(threads, sessions, ticks, json_path, profile);
+    return run_fleet_latency(*threads, sessions, ticks, json_path, profile);
   }
 
   if (record_ab) return run_record_ab(sessions, ticks, profile);

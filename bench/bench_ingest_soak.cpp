@@ -257,7 +257,8 @@ int main(int argc, char** argv) {
       capacity = util::flag_number<std::size_t>(
           argc, argv, i, 1, engine::kMaxIngestCapacity, usage);
     } else if (a == "--threads") {
-      threads = util::flag_number<std::size_t>(argc, argv, i, 0, 1024, usage);
+      threads = util::flag_number<std::size_t>(
+          argc, argv, i, 0, engine::kMaxWorkerThreads, usage);
     } else if (a == "--policy") {
       const std::string p = next();
       policy_name = argv[i];
@@ -284,7 +285,7 @@ int main(int argc, char** argv) {
   ingest.csi_capacity = capacity;
   ingest.imu_capacity = capacity;
   ingest.policy = policy;
-  TrackerEngine engine({threads, &sink, true, ingest});
+  TrackerEngine engine({threads, &sink, ingest});
   const auto profile = engine.add_profile(make_profile());
 
   std::vector<SessionId> ids;

@@ -45,7 +45,6 @@ OrientationEstimate OrientationEstimator::estimate(
   opt.start_stride = config_.start_stride;
   opt.dtw.band_fraction = config_.band_fraction;
   opt.max_dc_offset = config_.max_dc_offset_rad;
-  opt.parallel = config_.parallel;
   const std::vector<double>& theta = position.orientation.values;
   if (context.hard_hint != nullptr) {
     const double center = context.hard_hint->theta_rad;

@@ -45,12 +45,6 @@ struct MatcherConfig {
   /// explicitly (TrackerConfig, phase-bias calibration) using the stable
   /// forward phase, which is unambiguous.
   double max_dc_offset_rad = 0.0;
-
-  /// Optional executor that fans the candidate-length loop of ONE match
-  /// across worker threads (not owned; may be nullptr = serial). Results
-  /// are bit-identical either way; engine::TrackerEngine points this at
-  /// its pool when a session has the pool to itself.
-  dsp::SeriesMatchParallel* parallel = nullptr;
 };
 
 /// One matching outcome.

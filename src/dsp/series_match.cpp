@@ -1,7 +1,6 @@
 #include "dsp/series_match.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -96,30 +95,25 @@ double retention_bar(const SeriesMatchOptions& opt,
          std::max(opt.runner_up_slack_abs, 0.0);
 }
 
-// Everything a per-length scan task needs, shared across lengths (and
-// across worker threads in the parallel path — all referenced state is
-// either immutable for the call or atomic).
+// Everything a per-length scan needs, shared across the lengths of one
+// call.
 struct ScanContext {
   std::span<const double> query;      ///< effective query (centered once)
   std::span<const double> reference;
   const SeriesMatchOptions* opt = nullptr;
-  const std::vector<double>* prefix = nullptr;  ///< reference prefix sums
   double qmean_raw = 0.0;
   std::size_t stride = 1;
-  /// Running best score, shared so every task prunes against the
-  /// tightest bar known anywhere. It only ever decreases toward the
-  /// final best, so any bar derived from it is >= the final retention
-  /// bar — pruning can only remove candidates the final filter would
-  /// drop, never a reported one.
-  std::atomic<double>* best_score = nullptr;
+  /// Running best score over the scan so far. It only ever decreases
+  /// toward the final best, so any bar derived from it is >= the final
+  /// retention bar — pruning can only remove candidates the final
+  /// filter would drop, never a reported one.
+  double best_score = kInf;
 };
 
-// Scans every start offset of one candidate length. `scratch` supplies
-// the per-candidate buffers (its prefix sums are NOT used — segment
-// means come from ctx.prefix, computed once per call); hits/stats are
-// the output slots of this length.
-void scan_length(const ScanContext& ctx, std::size_t len,
-                 MatchWorkspace& scratch, std::vector<MatchHit>& hits,
+// Scans every start offset of one candidate length, appending to
+// `ws.hits` and `stats`. `ws` is bound to ctx.reference and supplies the
+// segment sums and the per-candidate buffers.
+void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
                  SeriesMatchStats& stats) {
   const SeriesMatchOptions& opt = *ctx.opt;
   const std::span<const double> q = ctx.query;
@@ -127,7 +121,6 @@ void scan_length(const ScanContext& ctx, std::size_t len,
   if (len > reference.size()) return;
 
   const double scale = static_cast<double>(q.size() + len);
-  const std::vector<double>& prefix = *ctx.prefix;
   const simd::KernelTable& kernels = simd::active();
   bool envelope_ready = false;
 
@@ -139,13 +132,13 @@ void scan_length(const ScanContext& ctx, std::size_t len,
     ++stats.candidates;
 
     const double smean_raw =
-        (prefix[start + len] - prefix[start]) / static_cast<double>(len);
+        ws.segment_sum(start, len) / static_cast<double>(len);
     const double shift = seg_shift(opt, ctx.qmean_raw, smean_raw);
 
     // Raw-distance pruning bar for this candidate (inf until a first
-    // hit exists anywhere). See kBarSlack for why it is inflated.
-    const double best = ctx.best_score->load(std::memory_order_relaxed);
-    const double stop_raw = retention_bar(opt, best) * kBarSlack * scale;
+    // hit exists). See kBarSlack for why it is inflated.
+    const double stop_raw =
+        retention_bar(opt, ctx.best_score) * kBarSlack * scale;
 
     // Lower-bound cascade, cheapest first. Stage 1: endpoints align in
     // every warp path (O(1)) — the shared dtw_endpoint_bound, the same
@@ -165,20 +158,20 @@ void scan_length(const ScanContext& ctx, std::size_t len,
     // same values without the copy.
     std::span<const double> seg = reference.subspan(start, len);
     if (shift != 0.0) {
-      scratch.seg_eff.resize(len);
+      ws.seg_eff.resize(len);
       kernels.subtract_offset(reference.data() + start, shift,
-                              scratch.seg_eff.data(), len);
-      seg = scratch.seg_eff;
+                              ws.seg_eff.data(), len);
+      seg = ws.seg_eff;
     }
 
     // Stage 2: band-envelope bound (O(len), early-exiting).
     if (opt.use_band_lower_bound && stop_raw < kInf) {
       if (!envelope_ready) {
-        build_envelope(q, len, opt.dtw, scratch.env_lo, scratch.env_hi);
+        build_envelope(q, len, opt.dtw, ws.env_lo, ws.env_hi);
         envelope_ready = true;
       }
-      if (kernels.band_lower_bound(seg.data(), scratch.env_lo.data() + 1,
-                                   scratch.env_hi.data() + 1, seg.size(),
+      if (kernels.band_lower_bound(seg.data(), ws.env_lo.data() + 1,
+                                   ws.env_hi.data() + 1, seg.size(),
                                    stop_raw) > stop_raw) {
         ++stats.lb_band_pruned;
         continue;
@@ -191,7 +184,7 @@ void scan_length(const ScanContext& ctx, std::size_t len,
     if (opt.use_early_abandon && stop_raw < dtw_opt.abandon_above) {
       dtw_opt.abandon_above = stop_raw;
     }
-    const double d_raw = dtw_distance_buffered(q, seg, dtw_opt, scratch.dtw);
+    const double d_raw = dtw_distance_buffered(q, seg, dtw_opt, ws.dtw);
     if (d_raw == kInf) {
       ++stats.dtw_abandoned;
       continue;
@@ -202,23 +195,18 @@ void scan_length(const ScanContext& ctx, std::size_t len,
     const double bias =
         opt.score_bias ? opt.score_bias(start, len) : 0.0;
     const double score = d + bias;
-    hits.push_back({start, len, d, score});
-
-    double cur = ctx.best_score->load(std::memory_order_relaxed);
-    while (score < cur &&
-           !ctx.best_score->compare_exchange_weak(
-               cur, score, std::memory_order_relaxed)) {
-    }
+    ws.hits.push_back({start, len, d, score});
+    ctx.best_score = std::min(ctx.best_score, score);
   }
 }
 
 // Turns the raw hit list of a scan into the reported SeriesMatch. This
-// runs identically for the fast, reference, serial, and parallel paths —
-// the equivalence guarantee lives here: the winner is the first hit in
-// scan order reaching the minimum score (the strict `<` running best of
-// the naive loop), and the retention filter deterministically drops
-// everything beyond the bar, which is exactly the set pruning was
-// allowed to remove.
+// runs identically for the fast and reference paths — the equivalence
+// guarantee lives here: the winner is the first hit in scan order
+// reaching the minimum score (the strict `<` running best of the naive
+// loop), and the retention filter deterministically drops everything
+// beyond the bar, which is exactly the set pruning was allowed to
+// remove.
 SeriesMatch finalize_scan(std::vector<MatchHit>& hits,
                           const SeriesMatchOptions& opt,
                           SeriesMatchStats stats) {
@@ -331,47 +319,17 @@ SeriesMatch find_best_match(std::span<const double> query,
     q = workspace.query_eff;
   }
 
-  std::atomic<double> best_score{kInf};
   ScanContext ctx;
   ctx.query = q;
   ctx.reference = reference;
   ctx.opt = &options;
-  ctx.prefix = &workspace.prefix();
   ctx.qmean_raw = qmean_raw;
   ctx.stride = std::max<std::size_t>(options.start_stride, 1);
-  ctx.best_score = &best_score;
 
   SeriesMatchStats stats;
-  if (options.parallel != nullptr && lengths.size() >= 2) {
-    struct Partial {
-      std::vector<MatchHit> hits;
-      SeriesMatchStats stats;
-    };
-    std::vector<Partial> parts(lengths.size());
-    auto task = [&](std::size_t k) {
-      // Scratch only — segment means come from ctx.prefix, so a stale
-      // thread_local workspace can never leak state between calls.
-      thread_local MatchWorkspace tls_scratch;
-      scan_length(ctx, lengths[k], tls_scratch, parts[k].hits,
-                  parts[k].stats);
-    };
-    if (options.parallel->run(lengths.size(), task)) {
-      // Merge in length order: the concatenation IS the serial scan
-      // order, so finalize_scan sees the same sequence either way.
-      workspace.hits.clear();
-      for (Partial& p : parts) {
-        workspace.hits.insert(workspace.hits.end(), p.hits.begin(),
-                              p.hits.end());
-        stats.add(p.stats);
-      }
-      return finalize_scan(workspace.hits, options, stats);
-    }
-    // Executor unavailable (busy / no workers): fall through to serial.
-  }
-
   workspace.hits.clear();
   for (const std::size_t len : lengths) {
-    scan_length(ctx, len, workspace, workspace.hits, stats);
+    scan_length(ctx, len, workspace, stats);
   }
   return finalize_scan(workspace.hits, options, stats);
 }

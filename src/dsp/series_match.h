@@ -31,20 +31,6 @@
 
 namespace vihot::dsp {
 
-/// Fans the per-candidate-length loop of ONE match across worker threads.
-/// run() invokes fn(k) for every k in [0, count), concurrently, and
-/// returns true once all calls completed — or returns false WITHOUT
-/// calling fn at all (no workers available / executor busy), in which
-/// case the matcher falls back to its serial loop. Implementations live
-/// above the dsp layer (engine::MatchParallelizer wraps the engine's
-/// WorkerPool); dsp only defines the seam.
-class SeriesMatchParallel {
- public:
-  virtual ~SeriesMatchParallel() = default;
-  virtual bool run(std::size_t count,
-                   const std::function<void(std::size_t)>& fn) = 0;
-};
-
 /// Tuning knobs for the segment search.
 struct SeriesMatchOptions {
   /// Candidate-length range as factors of the query length (the paper uses
@@ -105,7 +91,6 @@ struct SeriesMatchOptions {
   /// rejects are skipped before any DTW work. ViHOT uses this to enforce
   /// head-motion continuity: only segments ending at an orientation the
   /// head could have reached since the last estimate are eligible.
-  /// Must be safe to call concurrently when `parallel` is set.
   std::function<bool(std::size_t start, std::size_t length)> candidate_filter;
 
   /// Optional non-negative score penalty added to a candidate's
@@ -114,14 +99,7 @@ struct SeriesMatchOptions {
   /// and slope ("twin branches"); a gentle penalty on the angular jump
   /// breaks such near-ties toward the previous estimate while a decisive
   /// shape difference still wins outright.
-  /// Must be safe to call concurrently when `parallel` is set.
   std::function<double(std::size_t start, std::size_t length)> score_bias;
-
-  /// Optional executor splitting the candidate-length loop across worker
-  /// threads (not owned; may be nullptr). The result is bit-identical to
-  /// the serial scan either way; the engine enables this only when a
-  /// session has the whole pool to itself.
-  SeriesMatchParallel* parallel = nullptr;
 };
 
 /// Where the candidates of one scan went — the prune funnel. Every
@@ -197,8 +175,8 @@ struct SeriesMatch {
 /// Reference implementation: the same scan with no pruning, no early
 /// abandoning, no scratch reuse, and per-candidate allocations. Exists to
 /// pin the fast path down — the matcher-equivalence tests assert both
-/// return bit-identical results. Ignores the pruning toggles and
-/// `parallel` in `options`.
+/// return bit-identical results. Ignores the pruning toggles in
+/// `options`.
 [[nodiscard]] SeriesMatch find_best_match_reference(
     std::span<const double> query, std::span<const double> reference,
     const SeriesMatchOptions& options = {});

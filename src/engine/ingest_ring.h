@@ -31,6 +31,11 @@ namespace vihot::engine {
 /// it, which also keeps the power-of-two round-up from overflowing.
 inline constexpr std::size_t kMaxIngestCapacity = std::size_t{1} << 20;
 
+/// Largest worker-thread or ingest-lane count any entry point accepts:
+/// the `--threads` cap of every tool, and the bound a `.vrlog` header
+/// must respect before a replay sizes an engine from it.
+inline constexpr std::size_t kMaxWorkerThreads = 1024;
+
 template <typename T>
 class IngestRing {
  public:

@@ -56,11 +56,11 @@ namespace vihot::engine {
 
 /// The engine-level knobs a replayer must reproduce (ring capacities and
 /// overload policy change which samples survive; thread counts do not —
-/// estimates are bit-identical across pool sizes — but are kept so a
-/// replay can also reproduce the live scheduling shape).
+/// every estimate is one serial scan, so results are bit-identical
+/// across pool sizes — but are kept so a replay can also reproduce the
+/// live scheduling shape).
 struct EngineDescriptor {
   std::size_t num_threads = 0;
-  bool parallel_single_session = true;
   IngestConfig ingest{};
 };
 

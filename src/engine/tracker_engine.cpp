@@ -9,7 +9,6 @@ namespace vihot::engine {
 
 TrackerEngine::TrackerEngine(const Config& config)
     : pool_(config.num_threads),
-      parallel_single_session_(config.parallel_single_session),
       sink_(config.sink),
       tap_(config.tap),
       ingest_config_(config.ingest),
@@ -20,8 +19,7 @@ TrackerEngine::TrackerEngine(const Config& config)
       profile_store_(config.profiles != nullptr ? config.profiles
                                                 : &own_profile_store_) {
   if (tap_ != nullptr) {
-    tap_->on_engine_start(EngineDescriptor{
-        config.num_threads, config.parallel_single_session, config.ingest});
+    tap_->on_engine_start(EngineDescriptor{config.num_threads, config.ingest});
   }
 }
 
@@ -42,12 +40,6 @@ SessionId TrackerEngine::create_session(
   // aggregates both the serving metrics and the per-stage counters.
   core::TrackerConfig cfg = config;
   if (cfg.sink == nullptr) cfg.sink = sink_;
-  // Point every session's matcher at the pool-lending adapter. It only
-  // engages while estimate_all() arms it for a lone-session tick; at all
-  // other times it declines and the matcher scans serially.
-  if (parallel_single_session_ && cfg.matcher.parallel == nullptr) {
-    cfg.matcher.parallel = &match_parallel_;
-  }
   // Record the session under the exclusive roster lock, BEFORE any feed
   // hook can fire for it, with the resolved config (minus runtime-only
   // pointer wiring, which the serializer skips anyway).
@@ -220,26 +212,11 @@ std::span<const core::TrackResult> TrackerEngine::estimate_all(double t_now) {
   drain_locked();
   if (tap_ != nullptr) tap_->on_tick_begin(t_now);
   auto job = [&](std::size_t i) { results_[i] = roster_[i]->estimate(t_now); };
-  // A fleet of one gets no inter-session parallelism, so lend the idle
-  // pool to that session's own segment search instead: the session runs
-  // inline on this thread (the pool must be idle — WorkerPool::run is
-  // not re-entrant) with the parallelizer armed for the duration.
-  const bool lend_pool = parallel_single_session_ && roster_.size() == 1 &&
-                         pool_.size() > 0;
-  const auto run_batch = [&] {
-    if (lend_pool) {
-      match_parallel_.set_enabled(true);
-      job(0);
-      match_parallel_.set_enabled(false);
-    } else {
-      pool_.run(roster_.size(), job);
-    }
-  };
   if (sink_ == nullptr) {
-    run_batch();
+    pool_.run(roster_.size(), job);
   } else {
     const auto t0 = std::chrono::steady_clock::now();
-    run_batch();
+    pool_.run(roster_.size(), job);
     const auto t1 = std::chrono::steady_clock::now();
     obs::EngineStats& stats = sink_->engine;
     stats.batches.inc();

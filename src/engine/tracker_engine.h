@@ -38,7 +38,6 @@
 
 #include "core/tracker.h"
 #include "engine/ingest.h"
-#include "engine/match_parallel.h"
 #include "engine/profile_store.h"
 #include "engine/record_tap.h"
 #include "engine/worker_pool.h"
@@ -253,13 +252,6 @@ class TrackerEngine {
     /// stage-level metrics land in the same hub.
     obs::Sink* sink = nullptr;
 
-    /// When exactly one session is live, estimate_all() runs it inline
-    /// and lends the otherwise-idle worker pool to that session's
-    /// segment search (the matcher's candidate-length loop fans out
-    /// across the workers). Bit-identical results either way; see
-    /// engine::MatchParallelizer.
-    bool parallel_single_session = true;
-
     /// Async ingest tier (offer_* / drain). Capacity 0 disables the
     /// rings; offer_* then degrades to the synchronous push path.
     IngestConfig ingest{};
@@ -403,10 +395,6 @@ class TrackerEngine {
   std::size_t drain_locked();
 
   WorkerPool pool_;
-  /// Lends the pool to a lone session's segment search; armed only while
-  /// estimate_all() runs that session inline (so the pool is idle).
-  MatchParallelizer match_parallel_{pool_};
-  bool parallel_single_session_ = true;
   obs::Sink* sink_ = nullptr;  ///< not owned; may be nullptr
   RecordTap* tap_ = nullptr;   ///< not owned; may be nullptr
   IngestConfig ingest_config_{};

@@ -220,8 +220,6 @@ ReplayResult replay(const LoadedLog& log, const ReplayOptions& options) {
   eng_cfg.num_threads = options.num_threads != 0
                             ? options.num_threads
                             : log.summary().engine.num_threads;
-  eng_cfg.parallel_single_session =
-      log.summary().engine.parallel_single_session;
   eng_cfg.ingest = log.summary().engine.ingest;
   engine::TrackerEngine eng(eng_cfg);
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "engine/ingest_ring.h"
 #include "util/crc32.h"
 
 namespace vihot::replay {
@@ -164,7 +165,7 @@ std::optional<ChunkView> ChunkScanner::next() {
 void encode_engine_descriptor(std::vector<unsigned char>& out,
                               const engine::EngineDescriptor& desc) {
   put_u64(out, desc.num_threads);
-  put_u8(out, desc.parallel_single_session ? 1 : 0);
+  put_u8(out, 1);  // reserved; see kHeader in vrlog.h
   put_u64(out, desc.ingest.csi_capacity);
   put_u64(out, desc.ingest.imu_capacity);
   put_u8(out, static_cast<std::uint8_t>(desc.ingest.policy));
@@ -175,7 +176,7 @@ void encode_engine_descriptor(std::vector<unsigned char>& out,
 
 bool decode_engine_descriptor(Cursor& in, engine::EngineDescriptor* desc) {
   desc->num_threads = in.get_u64();
-  desc->parallel_single_session = in.get_u8() != 0;
+  (void)in.get_u8();  // reserved; see kHeader in vrlog.h
   desc->ingest.csi_capacity = in.get_u64();
   desc->ingest.imu_capacity = in.get_u64();
   const std::uint8_t policy = in.get_u8();
@@ -187,7 +188,9 @@ bool decode_engine_descriptor(Cursor& in, engine::EngineDescriptor* desc) {
   desc->ingest.lanes = in.get_u64();
   desc->ingest.high_watermark = in.get_f64();
   desc->ingest.max_block_spins = in.get_u64();
-  return in.ok();
+  // A replay sizes its worker pool and lane table from these counts.
+  return in.ok() && desc->num_threads <= engine::kMaxWorkerThreads &&
+         desc->ingest.lanes <= engine::kMaxWorkerThreads;
 }
 
 void encode_tracker_config(std::vector<unsigned char>& out,
@@ -202,7 +205,7 @@ void encode_tracker_config(std::vector<unsigned char>& out,
     put_f64(out, r.real());
     put_f64(out, r.imag());
   }
-  // Matcher (the parallel executor pointer is runtime wiring, skipped).
+  // Matcher.
   put_f64(out, c.matcher.window_s);
   put_f64(out, c.matcher.min_length_factor);
   put_f64(out, c.matcher.max_length_factor);
@@ -291,7 +294,6 @@ bool decode_tracker_config(Cursor& in, core::TrackerConfig* c) {
   c->matcher.band_fraction = in.get_f64();
   c->matcher.min_query_samples = static_cast<std::size_t>(in.get_u64());
   c->matcher.max_dc_offset_rad = in.get_f64();
-  c->matcher.parallel = nullptr;
   c->stability.window_s = in.get_f64();
   c->stability.max_spread_rad = in.get_f64();
   c->stability.min_samples = static_cast<std::size_t>(in.get_u64());

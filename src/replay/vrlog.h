@@ -17,9 +17,11 @@
 //
 // Chunk inventory (in the order a recorder emits them):
 //
-//   kHeader        engine descriptor: worker threads, single-session
-//                  pool lending, ingest ring capacities + overload
-//                  policy (the knobs that decide which samples survive)
+//   kHeader        engine descriptor: worker threads, one reserved
+//                  byte (written as 1, ignored on read; older logs
+//                  stored a since-removed engine flag there), ingest
+//                  ring capacities + overload policy (the knobs that
+//                  decide which samples survive)
 //   kProfile       one interned CsiProfile, content-addressed by the
 //                  CRC32 of its payload (the "profile content hash")
 //   kSessionStart  session id + profile reference + full TrackerConfig
@@ -189,9 +191,8 @@ void encode_engine_descriptor(std::vector<unsigned char>& out,
                                             engine::EngineDescriptor* desc);
 
 /// Serializes every deterministic TrackerConfig field. Runtime wiring
-/// (obs sink, matcher parallel executor) is intentionally excluded: it
-/// does not change outputs (bit-identical by the matcher-equivalence
-/// invariant) and cannot survive a process boundary.
+/// (the obs sink) is intentionally excluded: it does not change outputs
+/// and cannot survive a process boundary.
 void encode_tracker_config(std::vector<unsigned char>& out,
                            const core::TrackerConfig& config);
 [[nodiscard]] bool decode_tracker_config(Cursor& in,

@@ -1,20 +1,19 @@
 // Matcher-equivalence suite (ctest label: matcher-equivalence).
 //
 // The fast path of dsp::find_best_match — prefix-sum means, the
-// endpoint/band lower-bound cascade, DTW early abandoning, workspace
-// reuse, and the parallel candidate-length fan-out — is only allowed to
-// change how fast the answer arrives, never the answer. These tests pin
-// that invariant down with EXPECT_EQ on doubles: best, runner-up, and
-// top-K must be BIT-IDENTICAL between the pruned scan, the unpruned
-// scan, the naive reference implementation, and the parallel scan.
+// endpoint/band lower-bound cascade, DTW early abandoning, and
+// workspace reuse — is only allowed to change how fast the answer
+// arrives, never the answer. These tests pin that invariant down with
+// EXPECT_EQ on doubles: best, runner-up, and top-K must be
+// BIT-IDENTICAL between the pruned scan, the unpruned scan, the naive
+// reference implementation, and scans running concurrently on other
+// threads.
 #include "dsp/series_match.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -61,28 +60,6 @@ SeriesMatchOptions pruning_off(SeriesMatchOptions opt) {
   opt.use_early_abandon = false;
   return opt;
 }
-
-// A real multi-threaded executor (the engine's MatchParallelizer is
-// exercised by the engine tests; here we only need *some* concurrent
-// fan-out to prove scan-order independence).
-class ThreadedExecutor final : public SeriesMatchParallel {
- public:
-  bool run(std::size_t count,
-           const std::function<void(std::size_t)>& fn) override {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    for (int w = 0; w < 4; ++w) {
-      workers.emplace_back([&] {
-        for (std::size_t k = next.fetch_add(1); k < count;
-             k = next.fetch_add(1)) {
-          fn(k);
-        }
-      });
-    }
-    for (std::thread& t : workers) t.join();
-    return true;
-  }
-};
 
 // Option sets covering every code path that transforms the series
 // (centering, DC shift) or scores candidates (bias, filter).
@@ -149,18 +126,50 @@ TEST(MatcherEquivalence, FastPathMatchesNaiveReference) {
 }
 
 TEST(MatcherEquivalence, ParallelMatchesSerialBitIdentical) {
+  // Engine workers run many sessions' scans at once, each through its
+  // own thread's default workspace. Concurrent scans must neither share
+  // scratch nor see each other's state.
   const auto reference = noisy_sine(600, 48.0, 31);
   const auto query = noisy_sine(30, 48.0, 32);
-  ThreadedExecutor executor;
-  for (const NamedOptions& cfg : option_matrix()) {
-    const SeriesMatch serial = find_best_match(query, reference, cfg.opt);
-    SeriesMatchOptions par = cfg.opt;
-    par.parallel = &executor;
-    // The shared-best race changes which candidates get pruned, never
-    // which hits get reported; repeat to give the race some room.
-    for (int round = 0; round < 5; ++round) {
-      const SeriesMatch parallel = find_best_match(query, reference, par);
-      expect_same_match(serial, parallel, cfg.name);
+  const std::vector<NamedOptions> matrix = option_matrix();
+  std::vector<SeriesMatch> serial;
+  for (const NamedOptions& cfg : matrix) {
+    serial.push_back(find_best_match(query, reference, cfg.opt));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 5;
+  std::vector<std::vector<SeriesMatch>> got(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        // Each thread walks the matrix from its own offset, so different
+        // option sets overlap in time.
+        for (std::size_t k = 0; k < matrix.size(); ++k) {
+          const NamedOptions& cfg = matrix[(k + w) % matrix.size()];
+          got[w].push_back(find_best_match(query, reference, cfg.opt));
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    ASSERT_EQ(got[w].size(), kRounds * matrix.size());
+    for (std::size_t i = 0; i < got[w].size(); ++i) {
+      const std::size_t k = (i % matrix.size() + w) % matrix.size();
+      expect_same_match(serial[k], got[w][i], matrix[k].name);
+      // A serial scan prunes deterministically, so the funnel matches
+      // too, not just the report.
+      const SeriesMatchStats& a = serial[k].scan;
+      const SeriesMatchStats& b = got[w][i].scan;
+      EXPECT_EQ(a.candidates, b.candidates) << matrix[k].name;
+      EXPECT_EQ(a.lb_endpoint_pruned, b.lb_endpoint_pruned) << matrix[k].name;
+      EXPECT_EQ(a.lb_band_pruned, b.lb_band_pruned) << matrix[k].name;
+      EXPECT_EQ(a.dtw_abandoned, b.dtw_abandoned) << matrix[k].name;
+      EXPECT_EQ(a.dtw_evaluated, b.dtw_evaluated) << matrix[k].name;
+      EXPECT_EQ(a.hits_filtered, b.hits_filtered) << matrix[k].name;
     }
   }
 }

@@ -12,11 +12,15 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "engine/worker_pool.h"
 #include "obs/sink.h"
+#include "replay/vrlog.h"
 #include "tests/core/test_helpers.h"
 
 namespace vihot::engine {
@@ -270,16 +274,12 @@ TEST(TrackerEngineTest, ThreadCountDoesNotChangeResults) {
 }
 
 TEST(TrackerEngineTest, LoneSessionBorrowsPoolWithIdenticalResults) {
-  // A fleet of one gets no inter-session parallelism, so estimate_all
-  // lends the pool to the lone session's segment search (the matcher's
-  // candidate-length loop fans out). The estimates must stay bit-equal
-  // to the inline engine — parallel matching may only change speed.
+  // A fleet of one runs its single serial scan on one worker (or inline
+  // at 0 threads); the pool size may only change where it runs, never
+  // the bits.
   const auto theta = [](double t) { return -0.7 + 1.1 * (t - 1.0); };
-  auto run_lone = [&](std::size_t threads, bool lend) {
-    TrackerEngine::Config cfg;
-    cfg.num_threads = threads;
-    cfg.parallel_single_session = lend;
-    TrackerEngine engine(cfg);
+  auto run_lone = [&](std::size_t threads) {
+    TrackerEngine engine({threads});
     const auto profile = engine.add_profile(synthetic_profile(5));
     const double fp = profile->positions[2].fingerprint_phase;
     const SessionId id = engine.create_session(profile);
@@ -293,23 +293,95 @@ TEST(TrackerEngineTest, LoneSessionBorrowsPoolWithIdenticalResults) {
     return all;
   };
 
-  const auto inline_results = run_lone(0, true);
-  const auto lent_results = run_lone(4, true);
-  const auto unlent_results = run_lone(4, false);
-  ASSERT_EQ(inline_results.size(), lent_results.size());
-  ASSERT_EQ(inline_results.size(), unlent_results.size());
-  for (std::size_t i = 0; i < inline_results.size(); ++i) {
-    EXPECT_EQ(inline_results[i].valid, lent_results[i].valid);
-    EXPECT_DOUBLE_EQ(inline_results[i].theta_rad,
-                     lent_results[i].theta_rad);
-    EXPECT_DOUBLE_EQ(inline_results[i].raw.match_distance,
-                     lent_results[i].raw.match_distance);
-    EXPECT_EQ(inline_results[i].raw.match_start,
-              lent_results[i].raw.match_start);
-    EXPECT_EQ(inline_results[i].raw.match_length,
-              lent_results[i].raw.match_length);
-    EXPECT_DOUBLE_EQ(inline_results[i].theta_rad,
-                     unlent_results[i].theta_rad);
+  const auto inline_results = run_lone(0);
+  for (const std::size_t threads : {1u, 4u}) {
+    const auto pooled = run_lone(threads);
+    ASSERT_EQ(inline_results.size(), pooled.size());
+    for (std::size_t i = 0; i < inline_results.size(); ++i) {
+      const core::TrackResult& a = inline_results[i];
+      const core::TrackResult& b = pooled[i];
+      EXPECT_EQ(a.valid, b.valid) << threads << " threads, i=" << i;
+      EXPECT_EQ(std::memcmp(&a.theta_rad, &b.theta_rad, sizeof(double)), 0)
+          << threads << " threads, i=" << i;
+      EXPECT_EQ(a.raw.match_start, b.raw.match_start)
+          << threads << " threads, i=" << i;
+      EXPECT_EQ(a.raw.match_length, b.raw.match_length)
+          << threads << " threads, i=" << i;
+    }
+  }
+}
+
+TEST(TrackerEngineTest, MatchFunnelIsThreadCountInvariant) {
+  // Every estimate is one serial scan whatever the pool size, so the
+  // prune funnel (which candidates the running best cut) is a pure
+  // function of the inputs, not of scheduling.
+  struct Run {
+    std::vector<unsigned char> results;  ///< every TrackResult, encoded
+    std::vector<std::pair<std::string, std::uint64_t>> match_counters;
+  };
+  auto run = [](std::size_t sessions, std::size_t threads) {
+    obs::Sink sink;
+    TrackerEngine::Config cfg;
+    cfg.num_threads = threads;
+    cfg.sink = &sink;
+    TrackerEngine engine(cfg);
+    const auto profile = engine.add_profile(synthetic_profile(5));
+    const double fp = profile->positions[2].fingerprint_phase;
+    for (std::size_t s = 0; s < sessions; ++s) {
+      const SessionId id = engine.create_session(profile);
+      const double rate = 0.9 + 0.2 * static_cast<double>(s);
+      feed([&](const auto& m) { engine.push_csi(id, m); },
+           [rate](double t) { return -0.7 + rate * (t - 1.0); }, 0.9, 1.6,
+           fp);
+    }
+    Run out;
+    for (double t = 1.2; t < 1.6; t += 0.05) {
+      for (const core::TrackResult& r : engine.estimate_all(t)) {
+        replay::encode_track_result(out.results, r);
+        // Fields the wire form leaves out: the alternates and the funnel.
+        for (const auto& c : r.raw.candidates) {
+          replay::put_f64(out.results, c.distance);
+          replay::put_f64(out.results, c.theta_rad);
+          replay::put_f64(out.results, c.speed_ratio);
+          replay::put_u64(out.results, c.match_start);
+          replay::put_u64(out.results, c.match_length);
+        }
+        const dsp::SeriesMatchStats& f = r.raw.scan;
+        for (const std::uint64_t v :
+             {f.candidates, f.lb_endpoint_pruned, f.lb_band_pruned,
+              f.dtw_abandoned, f.dtw_evaluated, f.hits_filtered}) {
+          replay::put_u64(out.results, v);
+        }
+      }
+    }
+    sink.tracker.for_each_metric([&](const char* name, const auto& metric) {
+      const std::string suffix = name;
+      if constexpr (std::is_same_v<std::decay_t<decltype(metric)>,
+                                   obs::Counter>) {
+        if (suffix.rfind("match_", 0) == 0) {
+          out.match_counters.emplace_back(suffix, metric.value());
+        }
+      }
+    });
+    return out;
+  };
+
+  for (const std::size_t sessions : {1u, 3u}) {
+    const Run base = run(sessions, 0);
+    ASSERT_FALSE(base.match_counters.empty());
+    // The funnel must have something to be invariant about.
+    for (const auto& [name, value] : base.match_counters) {
+      if (name == "match_attempts" || name == "match_candidates") {
+        EXPECT_GT(value, 0u) << name;
+      }
+    }
+    for (const std::size_t threads : {1u, 4u}) {
+      const Run got = run(sessions, threads);
+      EXPECT_EQ(base.match_counters, got.match_counters)
+          << sessions << " sessions, " << threads << " threads";
+      EXPECT_EQ(base.results, got.results)
+          << sessions << " sessions, " << threads << " threads";
+    }
   }
 }
 

@@ -81,7 +81,7 @@ TEST_F(ReplayTest, SyncRunReplaysBitIdentically) {
   {
     Recorder recorder({path_});
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     const SessionId b = eng.create_session(profile);
@@ -120,7 +120,7 @@ TEST_F(ReplayTest, ConcurrentOfferRunReplaysBitIdentically) {
     engine::IngestConfig ingest;
     ingest.csi_capacity = 256;
     ingest.imu_capacity = 64;
-    TrackerEngine eng({2, nullptr, true, ingest, &recorder});
+    TrackerEngine eng({2, nullptr, ingest, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     const SessionId b = eng.create_session(profile);
@@ -151,7 +151,7 @@ TEST_F(ReplayTest, SessionChurnAndCameraReplay) {
   {
     Recorder recorder({path_});
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 1.5; t += 0.004) {
@@ -191,7 +191,7 @@ TEST_F(ReplayTest, ThreadCountOverrideStaysBitIdentical) {
   {
     Recorder recorder({path_});
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 2.0; t += 0.004) {
@@ -216,7 +216,7 @@ TEST_F(ReplayTest, PerturbedConfigYieldsFirstDivergenceReport) {
   {
     Recorder recorder({path_});
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 3.0; t += 0.004) {
@@ -248,7 +248,7 @@ TEST_F(ReplayTest, FlippedByteIsRejectedByCrc) {
   {
     Recorder recorder({path_});
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 1.5; t += 0.004) {
@@ -289,7 +289,7 @@ TEST_F(ReplayTest, RecorderStatsAreExported) {
     rc.sink = &sink;
     Recorder recorder(rc);
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 1.5; t += 0.004) {
@@ -325,7 +325,7 @@ TEST_F(ReplayTest, TruncatedLogRefusesBitExactReplay) {
     rc.sink = &sink;
     Recorder recorder(rc);
     ASSERT_TRUE(recorder.ok());
-    TrackerEngine eng({0, nullptr, true, {}, &recorder});
+    TrackerEngine eng({0, nullptr, {}, &recorder});
     const auto profile = eng.add_profile(make_profile());
     const SessionId a = eng.create_session(profile);
     for (double t = 0.0; t < 1.0; t += 0.004) {

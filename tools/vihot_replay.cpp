@@ -21,6 +21,7 @@
 #include <fstream>
 #include <string>
 
+#include "engine/ingest_ring.h"
 #include "replay/replayer.h"
 #include "util/parse_number.h"
 
@@ -65,8 +66,8 @@ int main(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--threads") {
-      options.num_threads =
-          util::flag_number<std::size_t>(argc, argv, i, 0, 1024, usage);
+      options.num_threads = util::flag_number<std::size_t>(
+          argc, argv, i, 0, engine::kMaxWorkerThreads, usage);
     } else if (a == "--report") {
       if (i + 1 >= argc) usage(argv[0]);
       report_path = argv[++i];

@@ -66,6 +66,7 @@
 
 #include <memory>
 
+#include "engine/ingest_ring.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "replay/recorder.h"
@@ -218,7 +219,8 @@ int main(int argc, char** argv) {
       config.collect_camera_baseline = true;
     } else if (a == "--threads") {
       fleet = true;
-      threads = num_arg<std::size_t>(argc, argv, i, 0, 1024);
+      threads =
+          num_arg<std::size_t>(argc, argv, i, 0, engine::kMaxWorkerThreads);
     } else if (a == "--faults") {
       config.faults.enabled = true;
     } else if (a == "--fault-drop") {

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     if (a == "--socket") {
       config.socket_path = next();
     } else if (a == "--threads") {
-      num_arg(std::size_t{1024}, &config.threads);
+      num_arg(engine::kMaxWorkerThreads, &config.threads);
     } else if (a == "--ingest-capacity") {
       num_arg(engine::kMaxIngestCapacity, &config.ingest_capacity);
     } else if (a == "--ingest-policy") {
