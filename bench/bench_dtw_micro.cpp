@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the compute kernels behind the
 // real-time claim of Sec. 7: ViHOT needs only 1D series matching, far
-// cheaper than 2D image processing. These measure the DTW kernel, the
-// full Algorithm-1 segment search, the sanitizer, and the channel
-// synthesizer, so regressions in the hot paths are visible.
+// cheaper than 2D image processing. These measure the DTW kernel, its
+// four-lane batched form, the full Algorithm-1 segment search, the
+// sanitizer, and the channel synthesizer, so regressions in the hot
+// paths are visible.
 //
 // Benchmarks with a `simd` argument run the same workload twice through
 // forced kernel dispatch (dsp/simd.h): simd=0 pins the scalar table,
@@ -18,7 +19,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,6 +79,45 @@ void BM_DtwDistance(benchmark::State& state) {
 BENCHMARK(BM_DtwDistance)
     ->ArgNames({"n", "simd"})
     ->ArgsProduct({{10, 21, 42, 84}, {0, 1}});
+
+// The matcher's batched entry: BM_DtwDistance's inputs (query n = 21,
+// full band, no abandon bar) in every lane of one dtw_banded_batch call,
+// with segment length m. Items are single DTWs, so items/s next to
+// BM_DtwDistance/n:21 (m = 42) is the per-DTW ratio of the lane kernel.
+void BM_DtwLanes(benchmark::State& state) {
+  const auto* table = table_for(state.range(1));
+  if (table == nullptr) {
+    state.SkipWithError("AVX2 kernels unavailable on this host/build");
+    return;
+  }
+  constexpr std::size_t kLanes = dsp::simd::kDtwBatchLanes;
+  constexpr std::size_t n = 21;
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto a = noisy_sine(n, 20.0, 1);
+  const auto b = noisy_sine(m, 40.0, 2);
+  const double* segs[kLanes];
+  std::fill(std::begin(segs), std::end(segs), b.data());
+  dsp::DtwBatchBuffers buffers;
+  buffers.reset(n, m);
+  dsp::dtw_band_geometry(n, m, dsp::dtw_band_cells(dsp::DtwOptions{}, n, m),
+                         buffers.j_lo(), buffers.j_hi());
+  double out[kLanes];
+  for (auto _ : state) {
+    table->dtw_banded_batch(a.data(), n, segs, kLanes, m, buffers.j_lo(),
+                            buffers.j_hi(),
+                            std::numeric_limits<double>::infinity(),
+                            buffers.scratch(), out);
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kLanes));
+  state.SetLabel(std::to_string(kLanes) + " DTWs per call; " +
+                 level_label(*table));
+}
+BENCHMARK(BM_DtwLanes)
+    ->ArgNames({"m", "simd"})
+    ->ArgsProduct({{10, 21, 42}, {0, 1}});
 
 void BM_DtwDistanceBanded(benchmark::State& state) {
   const auto* table = table_for(state.range(1));

@@ -28,6 +28,20 @@ std::size_t dtw_band_cells(const DtwOptions& options, std::size_t n,
   return std::max<std::size_t>(std::max(width, slope_gap), 1);
 }
 
+void dtw_band_geometry(std::size_t n, std::size_t m, std::size_t band,
+                       std::size_t* j_lo, std::size_t* j_hi) noexcept {
+  // j near the diagonal i * m / n, widened by the band. band >= 1 and
+  // diag <= m guarantee a non-empty, nondecreasing span.
+  for (std::size_t i = 1; i <= n; ++i) {
+    const auto diag =
+        static_cast<std::size_t>(static_cast<double>(i) *
+                                 static_cast<double>(m) /
+                                 static_cast<double>(n));
+    j_lo[i] = (diag > band) ? diag - band : 1;
+    j_hi[i] = std::min(m, diag + band);
+  }
+}
+
 void DtwBuffers::reset(std::size_t n, std::size_t m) {
   const std::size_t cells = std::max(n, m) + 1;
   // Round the lane stride up to a full 4-double group so every lane
@@ -58,22 +72,10 @@ double dtw_distance_buffered(std::span<const double> a,
   const std::size_t band = dtw_band_cells(options, n, m);
   buffers.reset(n, m);
 
-  // Per-row band columns: j near the diagonal i * m / n, widened by the
-  // band. band >= 1 and diag <= m guarantee a non-empty, nondecreasing
-  // span — the geometry the kernel's preconditions require.
-  std::size_t* j_lo = buffers.j_lo();
-  std::size_t* j_hi = buffers.j_hi();
-  for (std::size_t i = 1; i <= n; ++i) {
-    const auto diag =
-        static_cast<std::size_t>(static_cast<double>(i) *
-                                 static_cast<double>(m) /
-                                 static_cast<double>(n));
-    j_lo[i] = (diag > band) ? diag - band : 1;
-    j_hi[i] = std::min(m, diag + band);
-  }
-
-  return simd::active().dtw_banded(a.data(), n, b.data(), m, j_lo, j_hi,
-                                   options.abandon_above, buffers.lanes());
+  dtw_band_geometry(n, m, band, buffers.j_lo(), buffers.j_hi());
+  return simd::active().dtw_banded(a.data(), n, b.data(), m, buffers.j_lo(),
+                                   buffers.j_hi(), options.abandon_above,
+                                   buffers.lanes());
 }
 
 double dtw_distance(std::span<const double> a, std::span<const double> b,

@@ -75,9 +75,10 @@ class DtwBuffers {
                                   std::span<const double> b,
                                   const DtwOptions& options = {});
 
-/// dtw_distance with caller-provided DP scratch, so a scan evaluating
-/// thousands of candidates (dsp::find_best_match) allocates nothing per
-/// candidate. Bit-identical to dtw_distance: both run the same kernel.
+/// dtw_distance with caller-provided DP scratch, so repeated evaluations
+/// allocate nothing. Bit-identical to dtw_distance: both run the same
+/// kernel. (dsp::find_best_match scores its candidates in batches
+/// through KernelTable::dtw_banded_batch instead, bit-identical to this.)
 [[nodiscard]] double dtw_distance_buffered(std::span<const double> a,
                                            std::span<const double> b,
                                            const DtwOptions& options,
@@ -90,6 +91,14 @@ class DtwBuffers {
 [[nodiscard]] std::size_t dtw_band_cells(const DtwOptions& options,
                                          std::size_t n,
                                          std::size_t m) noexcept;
+
+/// Per-row Sakoe-Chiba columns of an (n, m) problem with half-width
+/// `band` (dtw_band_cells): for i in [1, n], j_lo[i]..j_hi[i] (1-based,
+/// inclusive) around the diagonal i * m / n. band >= 1 keeps every span
+/// non-empty and both ends nondecreasing, the geometry the banded
+/// kernels require. j_lo/j_hi need n + 1 cells; cell 0 is not written.
+void dtw_band_geometry(std::size_t n, std::size_t m, std::size_t band,
+                       std::size_t* j_lo, std::size_t* j_hi) noexcept;
 
 /// DTW distance normalized by the warp-path-independent length (n + m),
 /// which makes distances comparable across candidate segment lengths

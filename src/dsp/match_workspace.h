@@ -6,8 +6,8 @@
 // hoists all of that out of the loop:
 //
 //   * prefix sums over the reference make any segment mean O(1);
-//   * the candidate scratch (effective segment, query envelope, DTW DP
-//     scratch, hit list) lives in buffers that keep their capacity across
+//   * the candidate scratch (shifted segments, query envelope, batched
+//     DTW scratch, hit list) lives in buffers that keep their capacity across
 //     candidates, scans, and estimates — the steady state allocates
 //     nothing. The double buffers are 32-byte aligned (simd.h) so the
 //     dispatched kernels stream them from vector-register boundaries.
@@ -21,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "dsp/dtw.h"
 #include "dsp/simd.h"
 
 namespace vihot::dsp {
@@ -44,6 +43,42 @@ struct MatchHit {
 /// the bit contract (see DESIGN.md §5j).
 void build_prefix_sums(std::span<const double> xs, std::vector<double>& out);
 
+/// Scratch for the lane-batched DTW of one candidate length: the
+/// kernel's simd::DtwBatchScratch, the band geometry every start offset
+/// of the length shares, and one shifted-segment row per lane, all
+/// carved from one 32-byte-aligned block. Like DtwBuffers it grows
+/// monotonically and leans on the kernels' all-infinity row invariant,
+/// so steady-state batches neither allocate nor refill.
+class DtwBatchBuffers {
+ public:
+  /// Ensure capacity for (n, m) batches: a stride >= max(n, m) + 1 and
+  /// geometry arrays of n + 1 entries.
+  void reset(std::size_t n, std::size_t m);
+
+  /// Kernel scratch view; valid until a growing reset().
+  [[nodiscard]] simd::DtwBatchScratch scratch() noexcept {
+    double* base = block_.data();
+    return simd::DtwBatchScratch{base, base + 2 * kLanes * stride_, stride_};
+  }
+
+  /// Segment row of `lane` (m cells), for candidates whose DC shift
+  /// makes the raw reference span unusable.
+  [[nodiscard]] double* lane_segment(std::size_t lane) noexcept {
+    return block_.data() + (3 * kLanes + lane) * stride_;
+  }
+
+  /// Per-row band columns, indexed [1, n] (cell 0 unused).
+  [[nodiscard]] std::size_t* j_lo() noexcept { return jlo_.data(); }
+  [[nodiscard]] std::size_t* j_hi() noexcept { return jhi_.data(); }
+
+ private:
+  static constexpr std::size_t kLanes = simd::kDtwBatchLanes;
+  simd::AlignedVector block_;  ///< rows | transpose block | lane segments
+  std::vector<std::size_t> jlo_;
+  std::vector<std::size_t> jhi_;
+  std::size_t stride_ = 0;
+};
+
 /// Scratch buffers for one segment scan (see file comment).
 class MatchWorkspace {
  public:
@@ -65,10 +100,9 @@ class MatchWorkspace {
   // are public because the scan loop in series_match.cpp is the only
   // intended writer.
   simd::AlignedVector query_eff;  ///< mean-centered query (when enabled)
-  simd::AlignedVector seg_eff;    ///< shift-adjusted candidate segment
   simd::AlignedVector env_lo;     ///< per-column query envelope minimum
   simd::AlignedVector env_hi;     ///< per-column query envelope maximum
-  DtwBuffers dtw;                 ///< DTW DP rows + kernel lanes
+  DtwBatchBuffers batch;          ///< lane-batched DTW scratch
   std::vector<MatchHit> hits;     ///< surviving candidates of the scan
 
  private:

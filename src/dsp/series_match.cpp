@@ -112,9 +112,20 @@ struct ScanContext {
 
 // Scans every start offset of one candidate length, appending to
 // `ws.hits` and `stats`. `ws` is bound to ctx.reference and supplies the
-// segment sums and the per-candidate buffers.
+// segment sums and the per-batch buffers.
+//
+// Candidates are scored in batches of up to kDtwBatchLanes: the
+// survivors of the filter and the lower-bound cascade are gathered, then
+// one dtw_banded_batch call scores them all. Every start offset of the
+// length shares the query, the segment length and so the band geometry,
+// and the pruning bar is read once per batch, before the gather, so a
+// batch needs one geometry and one abandon bar. The bar a batch reads is
+// never below the per-candidate bar it replaces (the running best only
+// falls), so batching moves candidates between funnel buckets but never
+// prunes one the final retention filter would keep (DESIGN.md §5j).
 void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
                  SeriesMatchStats& stats) {
+  constexpr std::size_t kLanes = simd::kDtwBatchLanes;
   const SeriesMatchOptions& opt = *ctx.opt;
   const std::span<const double> q = ctx.query;
   const std::span<const double> reference = ctx.reference;
@@ -124,79 +135,100 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
   const simd::KernelTable& kernels = simd::active();
   bool envelope_ready = false;
 
-  for (std::size_t start = 0; start + len <= reference.size();
-       start += ctx.stride) {
-    if (opt.candidate_filter && !opt.candidate_filter(start, len)) {
-      continue;
-    }
-    ++stats.candidates;
+  DtwBatchBuffers& batch = ws.batch;
+  batch.reset(q.size(), len);
+  dtw_band_geometry(q.size(), len, dtw_band_cells(opt.dtw, q.size(), len),
+                    batch.j_lo(), batch.j_hi());
 
-    const double smean_raw =
-        ws.segment_sum(start, len) / static_cast<double>(len);
-    const double shift = seg_shift(opt, ctx.qmean_raw, smean_raw);
-
-    // Raw-distance pruning bar for this candidate (inf until a first
-    // hit exists). See kBarSlack for why it is inflated.
+  std::size_t start = 0;
+  while (start + len <= reference.size()) {
+    // Raw-distance pruning bar for this batch (inf until a first hit
+    // exists). See kBarSlack for why it is inflated.
     const double stop_raw =
         retention_bar(opt, ctx.best_score) * kBarSlack * scale;
 
-    // Lower-bound cascade, cheapest first. Stage 1: endpoints align in
-    // every warp path (O(1)) — the shared dtw_endpoint_bound, the same
-    // implementation dtw_lower_bound exposes.
-    if (opt.use_lower_bound) {
-      const double lb_end = dtw_endpoint_bound(
-          q.front(), q.back(), reference[start] - shift,
-          reference[start + len - 1] - shift, /*singleton=*/false);
-      if (lb_end > stop_raw) {
-        ++stats.lb_endpoint_pruned;
+    std::size_t lane_start[kLanes];
+    const double* lane_seg[kLanes];
+    std::size_t count = 0;
+    for (; count < kLanes && start + len <= reference.size();
+         start += ctx.stride) {
+      if (opt.candidate_filter && !opt.candidate_filter(start, len)) {
         continue;
       }
-    }
+      ++stats.candidates;
 
-    // Effective segment for the kernel. shift == 0.0 is the common
-    // no-adjustment case; x - 0.0 == x bitwise, so the raw span is the
-    // same values without the copy.
-    std::span<const double> seg = reference.subspan(start, len);
-    if (shift != 0.0) {
-      ws.seg_eff.resize(len);
-      kernels.subtract_offset(reference.data() + start, shift,
-                              ws.seg_eff.data(), len);
-      seg = ws.seg_eff;
-    }
+      const double smean_raw =
+          ws.segment_sum(start, len) / static_cast<double>(len);
+      const double shift = seg_shift(opt, ctx.qmean_raw, smean_raw);
 
-    // Stage 2: band-envelope bound (O(len), early-exiting).
-    if (opt.use_band_lower_bound && stop_raw < kInf) {
-      if (!envelope_ready) {
-        build_envelope(q, len, opt.dtw, ws.env_lo, ws.env_hi);
-        envelope_ready = true;
+      // Lower-bound cascade, cheapest first. Stage 1: endpoints align in
+      // every warp path (O(1)) — the shared dtw_endpoint_bound, the same
+      // implementation dtw_lower_bound exposes.
+      if (opt.use_lower_bound) {
+        const double lb_end = dtw_endpoint_bound(
+            q.front(), q.back(), reference[start] - shift,
+            reference[start + len - 1] - shift, /*singleton=*/false);
+        if (lb_end > stop_raw) {
+          ++stats.lb_endpoint_pruned;
+          continue;
+        }
       }
-      if (kernels.band_lower_bound(seg.data(), ws.env_lo.data() + 1,
-                                   ws.env_hi.data() + 1, seg.size(),
-                                   stop_raw) > stop_raw) {
-        ++stats.lb_band_pruned;
+
+      // Effective segment for the kernel. shift == 0.0 is the common
+      // no-adjustment case; x - 0.0 == x bitwise, so the raw span is the
+      // same values without the copy.
+      const double* seg = reference.data() + start;
+      if (shift != 0.0) {
+        double* shifted = batch.lane_segment(count);
+        kernels.subtract_offset(seg, shift, shifted, len);
+        seg = shifted;
+      }
+
+      // Stage 2: band-envelope bound (O(len), early-exiting).
+      if (opt.use_band_lower_bound && stop_raw < kInf) {
+        if (!envelope_ready) {
+          build_envelope(q, len, opt.dtw, ws.env_lo, ws.env_hi);
+          envelope_ready = true;
+        }
+        if (kernels.band_lower_bound(seg, ws.env_lo.data() + 1,
+                                     ws.env_hi.data() + 1, len,
+                                     stop_raw) > stop_raw) {
+          ++stats.lb_band_pruned;
+          continue;
+        }
+      }
+      lane_start[count] = start;
+      lane_seg[count] = seg;
+      ++count;
+    }
+    if (count == 0) break;
+
+    // Stage 3: the kernel itself, each lane abandoning once a DP row
+    // proves its candidate beyond the bar (row minima only grow along
+    // the DP).
+    const double abandon_above =
+        (opt.use_early_abandon && stop_raw < opt.dtw.abandon_above)
+            ? stop_raw
+            : opt.dtw.abandon_above;
+    double d_raw[kLanes];
+    kernels.dtw_banded_batch(q.data(), q.size(), lane_seg, count, len,
+                             batch.j_lo(), batch.j_hi(), abandon_above,
+                             batch.scratch(), d_raw);
+
+    // Hits land in start order, each scored and biased in scan order.
+    for (std::size_t l = 0; l < count; ++l) {
+      if (d_raw[l] == kInf) {
+        ++stats.dtw_abandoned;
         continue;
       }
+      ++stats.dtw_evaluated;
+      const double d = d_raw[l] / scale;
+      const double bias =
+          opt.score_bias ? opt.score_bias(lane_start[l], len) : 0.0;
+      const double score = d + bias;
+      ws.hits.push_back({lane_start[l], len, d, score});
+      ctx.best_score = std::min(ctx.best_score, score);
     }
-
-    // Stage 3: the kernel itself, abandoning once a DP row proves the
-    // candidate beyond the bar (row minima only grow along the DP).
-    DtwOptions dtw_opt = opt.dtw;
-    if (opt.use_early_abandon && stop_raw < dtw_opt.abandon_above) {
-      dtw_opt.abandon_above = stop_raw;
-    }
-    const double d_raw = dtw_distance_buffered(q, seg, dtw_opt, ws.dtw);
-    if (d_raw == kInf) {
-      ++stats.dtw_abandoned;
-      continue;
-    }
-    ++stats.dtw_evaluated;
-
-    const double d = d_raw / scale;
-    const double bias =
-        opt.score_bias ? opt.score_bias(start, len) : 0.0;
-    const double score = d + bias;
-    ws.hits.push_back({start, len, d, score});
-    ctx.best_score = std::min(ctx.best_score, score);
   }
 }
 

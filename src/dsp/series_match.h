@@ -84,7 +84,7 @@ struct SeriesMatchOptions {
   /// How many mutually non-overlapping top candidates to report.
   std::size_t top_k = 4;
 
-  /// DTW options; `abandon_above` is tightened internally per candidate.
+  /// DTW options; `abandon_above` is tightened internally per batch.
   DtwOptions dtw{};
 
   /// Optional per-candidate predicate on (start, length). Candidates it
@@ -104,7 +104,11 @@ struct SeriesMatchOptions {
 
 /// Where the candidates of one scan went — the prune funnel. Every
 /// candidate that passes candidate_filter lands in exactly one of the
-/// pruned/abandoned/evaluated buckets.
+/// pruned/abandoned/evaluated buckets. The scan scores candidates in
+/// batches of simd::kDtwBatchLanes and reads the pruning bar once per
+/// batch, so which bucket a candidate lands in depends on the batch
+/// boundaries (a function of the inputs, identical for every kernel
+/// table and thread count), while the reported match does not.
 struct SeriesMatchStats {
   std::uint64_t candidates = 0;         ///< candidates past the filter
   std::uint64_t lb_endpoint_pruned = 0; ///< cut by the O(1) endpoint bound

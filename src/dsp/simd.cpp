@@ -19,7 +19,8 @@ using detail::kInf;
 
 // The fused row-major DP lives in simd_impl.h (detail::
 // dtw_banded_rowmajor) because it is shared: it IS the scalar kernel,
-// and the AVX2 kernel delegates small abandon-bounded problems to it.
+// the per-lane body of the scalar batch, and the AVX2 kernel delegates
+// small abandon-bounded problems to it.
 double scalar_dtw_banded(const double* a, std::size_t n, const double* b,
                          std::size_t m, const std::size_t* j_lo,
                          const std::size_t* j_hi, double abandon_above,
@@ -71,9 +72,16 @@ void scalar_conj_products(const std::complex<double>* a,
   }
 }
 
+// The batch entry is detail::dtw_banded_batch_rowmajor itself: the
+// per-lane loop over the scalar kernel that defines the batch contract.
 constexpr KernelTable kScalarTable{
-    Level::kScalar,       scalar_dtw_banded,      scalar_band_lower_bound,
-    scalar_envelope_update, scalar_subtract_offset, scalar_conj_products,
+    Level::kScalar,
+    scalar_dtw_banded,
+    detail::dtw_banded_batch_rowmajor,
+    scalar_band_lower_bound,
+    scalar_envelope_update,
+    scalar_subtract_offset,
+    scalar_conj_products,
 };
 
 // ---------------------------------------------------------------------------

@@ -86,6 +86,23 @@ struct DtwLanes {
   std::size_t stride = 0;  ///< cells per lane; >= max(n, m) + 1
 };
 
+/// Candidates one dtw_banded_batch call scores: two AVX2 vectors of
+/// four doubles, whose independent DP chains hide each other's latency.
+inline constexpr std::size_t kDtwBatchLanes = 8;
+
+/// Scratch for the batched DTW kernel, carved by dsp::DtwBatchBuffers
+/// out of one 32-byte-aligned block. INVARIANT between calls: every
+/// `rows` cell is +infinity, restored by each kernel as for DtwLanes.
+/// `block` carries no invariant; a kernel may overwrite it freely. The
+/// scalar kernel uses the first four strides of `rows` as a DtwLanes;
+/// the AVX2 kernel rolls two DP rows of kDtwBatchLanes interleaved
+/// lanes there and transposes the segments into `block`.
+struct DtwBatchScratch {
+  double* rows = nullptr;   ///< 2 * kDtwBatchLanes * stride cells
+  double* block = nullptr;  ///< kDtwBatchLanes * stride cells
+  std::size_t stride = 0;   ///< multiple of 4; >= max(n, m) + 1
+};
+
 /// The dispatched kernels. One table per implementation family; all
 /// tables are immutable after construction and safe to share across
 /// threads. Inputs are required to be finite unless a kernel documents
@@ -93,7 +110,8 @@ struct DtwLanes {
 struct KernelTable {
   Level level = Level::kScalar;
 
-  /// (a) One whole banded DTW evaluation (dtw_distance_buffered).
+  /// (a) One whole banded DTW evaluation (dtw_distance_buffered; the
+  /// matcher uses dtw_banded_batch below).
   ///
   /// The DP is the classic one: dp[0][0] = 0, every other boundary cell
   /// +infinity, and for each row i in [1, n] and in-band column j in
@@ -125,6 +143,35 @@ struct KernelTable {
                        std::size_t m, const std::size_t* j_lo,
                        const std::size_t* j_hi, double abandon_above,
                        const DtwLanes& lanes) noexcept;
+
+  /// (a') Up to kDtwBatchLanes banded DTW evaluations of ONE shape, the
+  /// matcher's entry (every start offset of a candidate length shares
+  /// n, m, the band and the bar). For l in [0, count):
+  ///
+  ///   out[l] = dtw_banded(a, n, segs[l], m, j_lo, j_hi, abandon_above)
+  ///
+  /// bit for bit; out[count..) is left untouched. The scalar table IS
+  /// that definition: detail::dtw_banded_batch_rowmajor runs the
+  /// row-major kernel once per live lane with the shared bar. The AVX2
+  /// table transposes the segments into an m x 8 block and runs the
+  /// eight DPs in lockstep, four lanes per vector. Every lane executes
+  /// exactly detail::dtw_cell (sub, mul, exact min, one rounded add)
+  /// and the same per-row `row_min > abandon_above` test, so nothing is
+  /// reassociated. A lane is dead from its first row over the bar (its
+  /// result is +infinity, as the scalar kernel's early return); the
+  /// batch stops once every live lane is dead. Lanes past `count`
+  /// compute throwaway values and never hold the batch open.
+  ///
+  /// Preconditions: 1 <= count <= kDtwBatchLanes; each segs[l] holds m
+  /// finite values; the n/m/j_lo/j_hi geometry and scratch.stride as
+  /// for dtw_banded; every scratch.rows cell is +infinity on entry. The
+  /// kernel restores that invariant before returning.
+  void (*dtw_banded_batch)(const double* a, std::size_t n,
+                           const double* const* segs, std::size_t count,
+                           std::size_t m, const std::size_t* j_lo,
+                           const std::size_t* j_hi, double abandon_above,
+                           const DtwBatchScratch& scratch,
+                           double* out) noexcept;
 
   /// (b) LB_Keogh-style envelope lower bound with blocked early exit.
   ///

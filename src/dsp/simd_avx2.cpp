@@ -54,10 +54,10 @@ double avx2_dtw_banded(const double* a, std::size_t n, const double* b,
   // Two regimes favor the row-major order; both paths satisfy the same
   // exact-operation contract, so which one runs is invisible in the
   // output bits.
-  //  * Small problems under a finite abandon bar (the matcher's regime:
-  //    ~21-sample queries with best-so-far abandoning): row-major stops
-  //    dead at the abandoned row, while the wavefront has already
-  //    computed up to a band-width of diagonals past it.
+  //  * Small problems under a finite abandon bar: row-major stops dead
+  //    at the abandoned row, while the wavefront has already computed
+  //    up to a band-width of diagonals past it. (The matcher no longer
+  //    comes here; it scores through avx2_dtw_banded_batch.)
   //  * Very narrow bands: the wavefront's per-diagonal interval is only
   //    about a band-width long, so sub-vector-width intervals leave the
   //    4-wide loop idle while doubling the loop-bookkeeping passes.
@@ -167,6 +167,143 @@ double avx2_dtw_banded(const double* a, std::size_t n, const double* b,
   return result;
 }
 
+// Eight same-shape banded DPs in lockstep, one candidate per lane, as
+// two interleaved vectors (lanes 0-3 and 4-7). The row-major loop of
+// detail::dtw_banded_rowmajor, widened: DP cell (j, lane) lives at
+// row[8 * j + lane], and the segments are transposed so column j of
+// each vector is one aligned load. The two vectors' left-to-right
+// min/add chains are independent, so one hides the other's latency.
+// Each lane computes exactly dtw_cell's sub, mul, min(min(up, ul), left)
+// and one rounded add, and tests its row minimum against the shared bar
+// after every row. DP cells hold only non-negative values and +inf (no
+// NaN, no signed zero), so vminpd matches std::min bit for bit, as in
+// the wavefront kernel.
+void avx2_dtw_banded_batch(const double* a, std::size_t n,
+                           const double* const* segs, std::size_t count,
+                           std::size_t m, const std::size_t* j_lo,
+                           const std::size_t* j_hi, double abandon_above,
+                           const DtwBatchScratch& scratch,
+                           double* out) noexcept {
+  constexpr std::size_t kL = kDtwBatchLanes;
+  static_assert(kL == 8, "two vectors of four lanes");
+  // Lanes past `count` replay lane 0: finite inputs, discarded results.
+  const double* s[kL];
+  for (std::size_t l = 0; l < kL; ++l) s[l] = segs[l < count ? l : 0];
+
+  // Transpose the segments into block[8 * j + lane], 4x4 at a time.
+  double* blk = scratch.block;
+  std::size_t j = 0;
+  for (; j + 4 <= m; j += 4) {
+    for (std::size_t g = 0; g < kL; g += 4) {
+      const __m256d r0 = _mm256_loadu_pd(s[g] + j);
+      const __m256d r1 = _mm256_loadu_pd(s[g + 1] + j);
+      const __m256d r2 = _mm256_loadu_pd(s[g + 2] + j);
+      const __m256d r3 = _mm256_loadu_pd(s[g + 3] + j);
+      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // r0[0] r1[0] r0[2] r1[2]
+      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // r0[1] r1[1] r0[3] r1[3]
+      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
+      double* o = blk + kL * j + g;
+      _mm256_store_pd(o, _mm256_permute2f128_pd(t0, t2, 0x20));
+      _mm256_store_pd(o + kL, _mm256_permute2f128_pd(t1, t3, 0x20));
+      _mm256_store_pd(o + 2 * kL, _mm256_permute2f128_pd(t0, t2, 0x31));
+      _mm256_store_pd(o + 3 * kL, _mm256_permute2f128_pd(t1, t3, 0x31));
+    }
+  }
+  for (; j < m; ++j) {
+    for (std::size_t l = 0; l < kL; ++l) blk[kL * j + l] = s[l][j];
+  }
+
+  const __m256d inf = _mm256_set1_pd(kInf);
+  const __m256d bar = _mm256_set1_pd(abandon_above);
+  double* prev = scratch.rows;
+  double* curr = scratch.rows + kL * scratch.stride;
+  _mm256_store_pd(prev, _mm256_setzero_pd());  // dp[0][0], every lane
+  _mm256_store_pd(prev + 4, _mm256_setzero_pd());
+
+  // Idle lanes start dead so they never hold the batch open.
+  const __m256d live = _mm256_set1_pd(static_cast<double>(count));
+  __m256d dead0 = _mm256_cmp_pd(_mm256_set_pd(3.0, 2.0, 1.0, 0.0), live,
+                                _CMP_GE_OQ);
+  __m256d dead1 = _mm256_cmp_pd(_mm256_set_pd(7.0, 6.0, 5.0, 4.0), live,
+                                _CMP_GE_OQ);
+
+  // Column spans as in the scalar kernel: what `curr` holds from two
+  // rows ago, and what `prev` holds from the previous row.
+  std::size_t stale_lo = 1, stale_hi = 0;
+  std::size_t written_lo = 0, written_hi = 0;
+  bool all_dead = false;
+  for (std::size_t i = 1; i <= n; ++i) {
+    const std::size_t lo = j_lo[i];
+    const std::size_t hi = j_hi[i];
+    for (std::size_t c = stale_lo; c <= stale_hi; ++c) {
+      _mm256_store_pd(curr + kL * c, inf);
+      _mm256_store_pd(curr + kL * c + 4, inf);
+    }
+    const __m256d av = _mm256_set1_pd(a[i - 1]);
+    __m256d left0 = _mm256_load_pd(curr + kL * (lo - 1));  // +inf
+    __m256d left1 = _mm256_load_pd(curr + kL * (lo - 1) + 4);
+    __m256d row_min0 = inf;
+    __m256d row_min1 = inf;
+    for (std::size_t c = lo; c <= hi; ++c) {
+      const double* up = prev + kL * c;
+      const double* ul = prev + kL * (c - 1);
+      const double* bj = blk + kL * (c - 1);
+      const __m256d d0 = _mm256_sub_pd(av, _mm256_load_pd(bj));
+      const __m256d d1 = _mm256_sub_pd(av, _mm256_load_pd(bj + 4));
+      const __m256d best0 = _mm256_min_pd(
+          _mm256_min_pd(_mm256_load_pd(up), _mm256_load_pd(ul)), left0);
+      const __m256d best1 = _mm256_min_pd(
+          _mm256_min_pd(_mm256_load_pd(up + 4), _mm256_load_pd(ul + 4)),
+          left1);
+      const __m256d v0 = _mm256_add_pd(best0, _mm256_mul_pd(d0, d0));
+      const __m256d v1 = _mm256_add_pd(best1, _mm256_mul_pd(d1, d1));
+      _mm256_store_pd(curr + kL * c, v0);
+      _mm256_store_pd(curr + kL * c + 4, v1);
+      left0 = v0;
+      left1 = v1;
+      row_min0 = _mm256_min_pd(row_min0, v0);
+      row_min1 = _mm256_min_pd(row_min1, v1);
+    }
+    std::swap(prev, curr);
+    stale_lo = written_lo;
+    stale_hi = written_hi;
+    written_lo = lo;
+    written_hi = hi;
+    dead0 = _mm256_or_pd(dead0, _mm256_cmp_pd(row_min0, bar, _CMP_GT_OQ));
+    dead1 = _mm256_or_pd(dead1, _mm256_cmp_pd(row_min1, bar, _CMP_GT_OQ));
+    if ((_mm256_movemask_pd(dead0) & _mm256_movemask_pd(dead1)) == 0xF) {
+      all_dead = true;
+      break;
+    }
+  }
+  alignas(32) double last[kL];
+  if (all_dead) {
+    _mm256_store_pd(last, inf);
+    _mm256_store_pd(last + 4, inf);
+  } else {
+    const double* final_row = prev + kL * m;
+    _mm256_store_pd(last,
+                    _mm256_blendv_pd(_mm256_load_pd(final_row), inf, dead0));
+    _mm256_store_pd(last + 4, _mm256_blendv_pd(_mm256_load_pd(final_row + 4),
+                                               inf, dead1));
+  }
+  for (std::size_t l = 0; l < count; ++l) out[l] = last[l];
+
+  // Restore the all-infinity invariant: the last two written spans plus
+  // the dp[0][0] seed.
+  for (std::size_t c = written_lo; c <= written_hi; ++c) {
+    _mm256_store_pd(prev + kL * c, inf);
+    _mm256_store_pd(prev + kL * c + 4, inf);
+  }
+  for (std::size_t c = stale_lo; c <= stale_hi; ++c) {
+    _mm256_store_pd(curr + kL * c, inf);
+    _mm256_store_pd(curr + kL * c + 4, inf);
+  }
+  _mm256_store_pd(scratch.rows, inf);
+  _mm256_store_pd(scratch.rows + 4, inf);
+}
+
 double avx2_band_lower_bound(const double* seg, const double* lo,
                              const double* hi, std::size_t n,
                              double stop_above) noexcept {
@@ -268,8 +405,10 @@ void avx2_conj_products(const std::complex<double>* a,
 }
 
 constexpr KernelTable kAvx2Table{
-    Level::kAvx2,         avx2_dtw_banded,      avx2_band_lower_bound,
-    avx2_envelope_update, avx2_subtract_offset, avx2_conj_products,
+    Level::kAvx2,          avx2_dtw_banded,
+    avx2_dtw_banded_batch, avx2_band_lower_bound,
+    avx2_envelope_update,  avx2_subtract_offset,
+    avx2_conj_products,
 };
 
 }  // namespace

@@ -94,6 +94,27 @@ inline double dtw_banded_rowmajor(const double* a, std::size_t n,
   return result;
 }
 
+/// The batched entry's bit contract (KernelTable::dtw_banded_batch): the
+/// row-major kernel once per live lane, in lane order, with the batch's
+/// one bar. The first four strides of scratch.rows serve as its lanes,
+/// and each call leaves them all +infinity for the next.
+inline void dtw_banded_batch_rowmajor(const double* a, std::size_t n,
+                                      const double* const* segs,
+                                      std::size_t count, std::size_t m,
+                                      const std::size_t* j_lo,
+                                      const std::size_t* j_hi,
+                                      double abandon_above,
+                                      const DtwBatchScratch& scratch,
+                                      double* out) noexcept {
+  const std::size_t s = scratch.stride;
+  const DtwLanes lanes{scratch.rows, scratch.rows + s, scratch.rows + 2 * s,
+                       scratch.rows + 3 * s, s};
+  for (std::size_t l = 0; l < count; ++l) {
+    out[l] = dtw_banded_rowmajor(a, n, segs[l], m, j_lo, j_hi,
+                                 abandon_above, lanes);
+  }
+}
+
 /// One element of the envelope bound: the cost of seg value v against
 /// the interval [lo, hi]. Exactly one of the two clamped terms can be
 /// positive (lo <= hi), and x + 0.0 == x for the non-negative x here,

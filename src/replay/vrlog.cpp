@@ -1,5 +1,6 @@
 #include "replay/vrlog.h"
 
+#include <cmath>
 #include <cstring>
 
 #include "engine/ingest_ring.h"
@@ -15,6 +16,16 @@ constexpr std::size_t kMaxSeriesSamples = 1u << 24;
 constexpr std::size_t kMaxPositions = 1u << 16;
 constexpr std::size_t kMaxSubcarriers = 4096;
 constexpr std::size_t kMaxRxNullRatios = 4096;
+/// TrackerConfig::matcher caps. The scan loops over num_lengths,
+/// reserves a query of min_query_samples (or window_s worth of
+/// samples), strides start offsets by start_stride, and casts the
+/// length factors times the query length to size_t; each cap keeps
+/// that bounded and the casts defined. Defaults: 7 lengths, 6 samples,
+/// a 0.1 s window, factors 0.5-2.0, stride 2.
+constexpr std::uint64_t kMaxMatcherLengths = 1024;
+constexpr std::uint64_t kMaxQuerySamples = 1u << 16;
+constexpr double kMaxMatcherWindowS = 60.0;
+constexpr double kMaxLengthFactor = 64.0;
 
 }  // namespace
 
@@ -286,14 +297,32 @@ bool decode_tracker_config(Cursor& in, core::TrackerConfig* c) {
     const double im = in.get_f64();
     c->sanitizer.rx_null_ratio.emplace_back(re, im);
   }
-  c->matcher.window_s = in.get_f64();
-  c->matcher.min_length_factor = in.get_f64();
-  c->matcher.max_length_factor = in.get_f64();
-  c->matcher.num_lengths = static_cast<std::size_t>(in.get_u64());
-  c->matcher.start_stride = static_cast<std::size_t>(in.get_u64());
-  c->matcher.band_fraction = in.get_f64();
-  c->matcher.min_query_samples = static_cast<std::size_t>(in.get_u64());
-  c->matcher.max_dc_offset_rad = in.get_f64();
+  const double window_s = in.get_f64();
+  const double min_length_factor = in.get_f64();
+  const double max_length_factor = in.get_f64();
+  const std::uint64_t num_lengths = in.get_u64();
+  const std::uint64_t start_stride = in.get_u64();
+  const double band_fraction = in.get_f64();
+  const std::uint64_t min_query_samples = in.get_u64();
+  const double max_dc_offset_rad = in.get_f64();
+  const auto factor_ok = [](double f) {
+    return f >= 0.0 && f <= kMaxLengthFactor;  // false for NaN
+  };
+  if (!(window_s > 0.0 && window_s <= kMaxMatcherWindowS) ||
+      !factor_ok(min_length_factor) || !factor_ok(max_length_factor) ||
+      num_lengths > kMaxMatcherLengths || start_stride > kMaxSeriesSamples ||
+      !std::isfinite(band_fraction) || min_query_samples > kMaxQuerySamples ||
+      !std::isfinite(max_dc_offset_rad)) {
+    return false;
+  }
+  c->matcher.window_s = window_s;
+  c->matcher.min_length_factor = min_length_factor;
+  c->matcher.max_length_factor = max_length_factor;
+  c->matcher.num_lengths = static_cast<std::size_t>(num_lengths);
+  c->matcher.start_stride = static_cast<std::size_t>(start_stride);
+  c->matcher.band_fraction = band_fraction;
+  c->matcher.min_query_samples = static_cast<std::size_t>(min_query_samples);
+  c->matcher.max_dc_offset_rad = max_dc_offset_rad;
   c->stability.window_s = in.get_f64();
   c->stability.max_spread_rad = in.get_f64();
   c->stability.min_samples = static_cast<std::size_t>(in.get_u64());

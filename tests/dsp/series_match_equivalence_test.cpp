@@ -18,6 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "tests/dsp/match_option_matrix.h"
+
 namespace vihot::dsp {
 namespace {
 
@@ -59,48 +61,6 @@ SeriesMatchOptions pruning_off(SeriesMatchOptions opt) {
   opt.use_band_lower_bound = false;
   opt.use_early_abandon = false;
   return opt;
-}
-
-// Option sets covering every code path that transforms the series
-// (centering, DC shift) or scores candidates (bias, filter).
-struct NamedOptions {
-  const char* name;
-  SeriesMatchOptions opt;
-};
-
-std::vector<NamedOptions> option_matrix() {
-  std::vector<NamedOptions> out;
-  SeriesMatchOptions base;
-  base.dtw.band_fraction = 0.25;
-  base.start_stride = 2;
-  out.push_back({"default", base});
-
-  SeriesMatchOptions centered = base;
-  centered.mean_center = true;
-  out.push_back({"mean_center", centered});
-
-  SeriesMatchOptions dc = base;
-  dc.max_dc_offset = 0.3;
-  out.push_back({"dc_offset", dc});
-
-  SeriesMatchOptions both = base;
-  both.mean_center = true;
-  both.max_dc_offset = 0.3;
-  out.push_back({"mean_center+dc_offset", both});
-
-  SeriesMatchOptions biased = base;
-  biased.score_bias = [](std::size_t start, std::size_t) {
-    const double dev = static_cast<double>(start) - 100.0;
-    return 1e-6 * dev * dev;
-  };
-  out.push_back({"score_bias", biased});
-
-  SeriesMatchOptions filtered = base;
-  filtered.candidate_filter = [](std::size_t start, std::size_t) {
-    return start % 3 != 1;
-  };
-  out.push_back({"candidate_filter", filtered});
-  return out;
 }
 
 TEST(MatcherEquivalence, PrunedMatchesUnprunedBitIdentical) {

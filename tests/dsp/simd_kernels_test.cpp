@@ -7,10 +7,12 @@
 // scalar contract still runs through the dispatch plumbing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <random>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "dsp/dtw.h"
 #include "dsp/series_match.h"
 #include "dsp/simd.h"
+#include "dsp/simd_impl.h"
+#include "tests/dsp/match_option_matrix.h"
 #include "wifi/csi.h"
 
 namespace vihot::dsp {
@@ -143,6 +147,103 @@ TEST_F(SimdKernelsAvx2Test, DtwBandedInterleavedTablesShareBuffers) {
       want = dtw_distance_buffered(a, b, options, fresh_scalar);
     }
     EXPECT_SAME_BITS(got, want) << "idx=" << idx;
+  }
+}
+
+// The matcher's batched entry: both tables' dtw_banded_batch must agree
+// by memcmp, and every live lane must equal a lone row-major DTW of its
+// segment under the batch's bar, for every shape, band, bar regime and
+// live-lane count (1 to kDtwBatchLanes, so both AVX2 vectors run
+// partial). One scratch serves every call of both tables, so a
+// kernel that leaves a dirty row cell behind corrupts a later batch.
+TEST_F(SimdKernelsAvx2Test, DtwLanesMatchScalarBitwise) {
+  constexpr std::size_t kLanes = simd::kDtwBatchLanes;
+  constexpr double kUntouched = -7.0;
+  DtwBatchBuffers shared;
+  DtwBuffers lone;
+  std::vector<std::size_t> j_lo;
+  std::vector<std::size_t> j_hi;
+  const double fracs[] = {0.1, 0.25, 1.0};
+  std::uint32_t seed = 9000;
+  for (std::size_t n = 2; n <= 48; ++n) {
+    for (std::size_t m = 2; m <= 64; ++m) {
+      const auto a = random_values(n, ++seed);
+      std::vector<double> segs[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        segs[l] = random_values(m, seed * 8 + static_cast<std::uint32_t>(l));
+      }
+      // Lane 0 sits far above the query, so its first row already
+      // exceeds any bar the other lanes survive.
+      std::vector<double> far = segs[0];
+      for (double& v : far) v += 1000.0;
+      for (const double frac : fracs) {
+        DtwOptions options;
+        options.band_fraction = frac;
+        j_lo.assign(n + 1, 0);
+        j_hi.assign(n + 1, 0);
+        dtw_band_geometry(n, m, dtw_band_cells(options, n, m), j_lo.data(),
+                          j_hi.data());
+        lone.reset(n, m);
+        shared.reset(n, m);
+        const auto solo = [&](const std::vector<double>& seg, double bar) {
+          return simd::detail::dtw_banded_rowmajor(
+              a.data(), n, seg.data(), m, j_lo.data(), j_hi.data(), bar,
+              lone.lanes());
+        };
+        double open[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) open[l] = solo(segs[l], kInf);
+        struct Regime {
+          const char* name;
+          bool far_lane0;
+          double bar;
+        };
+        const Regime regimes[] = {
+            {"inf", false, kInf},
+            // Lane 2 finishes exactly at the bar; lanes whose distance
+            // exceeds it die part-way.
+            {"finite", false, open[2]},
+            {"lane0_dead_row1", true,
+             *std::max_element(open + 1, open + kLanes)},
+            {"all_dead", false, 1e-9},
+        };
+        for (const Regime& r : regimes) {
+          const double* ptrs[kLanes];
+          for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = segs[l].data();
+          if (r.far_lane0) ptrs[0] = far.data();
+          double want[kLanes];
+          for (std::size_t l = 0; l < kLanes; ++l) {
+            want[l] = solo(l == 0 && r.far_lane0 ? far : segs[l], r.bar);
+          }
+          if (r.far_lane0) {
+            ASSERT_EQ(want[0], kInf);
+            ASSERT_TRUE(std::isfinite(want[1]));
+          }
+          for (std::size_t count = 1; count <= kLanes; ++count) {
+            double got_scalar[kLanes];
+            double got_avx2[kLanes];
+            std::fill(std::begin(got_scalar), std::end(got_scalar),
+                      kUntouched);
+            std::fill(std::begin(got_avx2), std::end(got_avx2), kUntouched);
+            scalar_.dtw_banded_batch(a.data(), n, ptrs, count, m,
+                                     j_lo.data(), j_hi.data(), r.bar,
+                                     shared.scratch(), got_scalar);
+            avx2_->dtw_banded_batch(a.data(), n, ptrs, count, m, j_lo.data(),
+                                    j_hi.data(), r.bar, shared.scratch(),
+                                    got_avx2);
+            ASSERT_TRUE(memcmp_equal(got_scalar, got_avx2, kLanes))
+                << "n=" << n << " m=" << m << " frac=" << frac
+                << " bar=" << r.name << " count=" << count;
+            for (std::size_t l = 0; l < kLanes; ++l) {
+              const double expect = l < count ? want[l] : kUntouched;
+              ASSERT_PRED_FORMAT2(SameBits, got_avx2[l], expect)
+                  << "n=" << n << " m=" << m << " frac=" << frac
+                  << " bar=" << r.name << " count=" << count
+                  << " lane=" << l;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
@@ -313,47 +414,26 @@ void expect_same_match(const SeriesMatch& a, const SeriesMatch& b) {
   }
 }
 
-std::vector<SeriesMatchOptions> forced_dispatch_option_matrix() {
-  std::vector<SeriesMatchOptions> matrix;
-  {
-    SeriesMatchOptions opt;
-    opt.dtw.band_fraction = 0.25;
-    opt.start_stride = 2;
-    matrix.push_back(opt);
-  }
-  {
-    SeriesMatchOptions opt;  // narrow band + coarse stride
-    opt.dtw.band_fraction = 0.05;
-    opt.start_stride = 3;
-    matrix.push_back(opt);
-  }
-  {
-    SeriesMatchOptions opt;  // full band
-    opt.dtw.band_fraction = 1.0;
-    opt.start_stride = 2;
-    matrix.push_back(opt);
-  }
-  {
-    SeriesMatchOptions opt;  // mean-centering (query_eff kernel path)
-    opt.dtw.band_fraction = 0.25;
-    opt.start_stride = 2;
-    opt.mean_center = true;
-    matrix.push_back(opt);
-  }
-  {
-    SeriesMatchOptions opt;  // DC shift (seg_eff kernel path)
-    opt.dtw.band_fraction = 0.25;
-    opt.start_stride = 2;
-    opt.max_dc_offset = 0.3;
-    matrix.push_back(opt);
-  }
+// The matcher-equivalence matrix (filters with non-contiguous batch
+// survivors, biases, centering, DC shift) plus band extremes.
+std::vector<NamedOptions> forced_dispatch_option_matrix() {
+  std::vector<NamedOptions> matrix = option_matrix();
+  SeriesMatchOptions narrow;  // narrow band + coarse stride
+  narrow.dtw.band_fraction = 0.05;
+  narrow.start_stride = 3;
+  matrix.push_back({"narrow_band+stride_3", narrow});
+  SeriesMatchOptions full;
+  full.dtw.band_fraction = 1.0;
+  full.start_stride = 2;
+  matrix.push_back({"full_band", full});
   return matrix;
 }
 
 TEST(SimdForcedDispatchTest, MatcherBitIdenticalAcrossTables) {
   const auto reference = smooth_series(400, 11);
   const auto query = smooth_series(40, 12);
-  for (const auto& opt : forced_dispatch_option_matrix()) {
+  for (const auto& [name, opt] : forced_dispatch_option_matrix()) {
+    SCOPED_TRACE(name);
     SeriesMatch scalar_match;
     {
       simd::ForcedKernels forced(simd::scalar_kernels());
@@ -380,6 +460,8 @@ TEST(SimdForcedDispatchTest, MatcherBitIdenticalAcrossTables) {
               avx2_match.scan.dtw_abandoned);
     EXPECT_EQ(scalar_match.scan.dtw_evaluated,
               avx2_match.scan.dtw_evaluated);
+    EXPECT_EQ(scalar_match.scan.hits_filtered,
+              avx2_match.scan.hits_filtered);
   }
 }
 
@@ -460,8 +542,8 @@ TEST(BandLowerBoundProperty, NeverExceedsRawDtw) {
       for (std::uint32_t seed = 1; seed <= 6; ++seed) {
         const auto q = random_values(s[0], seed);
         auto seg = random_values(s[1], seed + 50);
-        // Nonzero DC shift between the sides (the matcher's seg_eff
-        // case): the bound must hold for the shifted values it sees.
+        // Nonzero DC shift between the sides (the matcher's shifted
+        // lane segments): the bound must hold for the values it sees.
         for (double& v : seg) v += 0.37;
         simd::AlignedVector lo;
         simd::AlignedVector hi;

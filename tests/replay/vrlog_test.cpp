@@ -317,6 +317,47 @@ TEST(Codecs, AbsurdCountsAreRejectedNotReserved) {
   std::vector<unsigned char> encoded;
   encode_engine_descriptor(encoded, desc);
   EXPECT_EQ(encoded, header(3, 1, 2));
+
+  // Matcher fields size loops and reserves, or are cast to size_t, when
+  // a replay builds the session: 2^40 candidate lengths, a 2^40-sample
+  // query, a NaN window and friends must fail to decode instead.
+  const auto config_decodes = [](const core::TrackerConfig& cfg) {
+    std::vector<unsigned char> bytes;
+    encode_tracker_config(bytes, cfg);
+    Cursor cursor(bytes.data(), bytes.size());
+    core::TrackerConfig back;
+    return decode_tracker_config(cursor, &back) && cursor.exhausted();
+  };
+  ASSERT_TRUE(config_decodes(core::TrackerConfig{}));
+  using Forge = void (*)(core::MatcherConfig&);
+  const Forge forged[] = {
+      [](core::MatcherConfig& mc) { mc.num_lengths = std::size_t{1} << 40; },
+      [](core::MatcherConfig& mc) {
+        mc.min_query_samples = std::size_t{1} << 40;
+      },
+      [](core::MatcherConfig& mc) { mc.start_stride = ~std::size_t{0}; },
+      [](core::MatcherConfig& mc) {
+        mc.window_s = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](core::MatcherConfig& mc) { mc.window_s = -0.1; },
+      [](core::MatcherConfig& mc) { mc.window_s = 1e300; },
+      [](core::MatcherConfig& mc) {
+        mc.min_length_factor = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](core::MatcherConfig& mc) { mc.max_length_factor = 1e300; },
+      [](core::MatcherConfig& mc) { mc.min_length_factor = -1.0; },
+      [](core::MatcherConfig& mc) {
+        mc.band_fraction = std::numeric_limits<double>::quiet_NaN();
+      },
+      [](core::MatcherConfig& mc) {
+        mc.max_dc_offset_rad = std::numeric_limits<double>::infinity();
+      },
+  };
+  for (std::size_t k = 0; k < std::size(forged); ++k) {
+    core::TrackerConfig cfg;
+    forged[k](cfg.matcher);
+    EXPECT_FALSE(config_decodes(cfg)) << "forged matcher field #" << k;
+  }
 }
 
 }  // namespace
