@@ -2,8 +2,8 @@
 // real-time claim of Sec. 7: ViHOT needs only 1D series matching, far
 // cheaper than 2D image processing. These measure the DTW kernel, its
 // four-lane batched form, the full Algorithm-1 segment search, the
-// sanitizer, and the channel synthesizer, so regressions in the hot
-// paths are visible.
+// sanitizer, the per-frame stable-phase detector, and the channel
+// synthesizer, so regressions in the hot paths are visible.
 //
 // Benchmarks with a `simd` argument run the same workload twice through
 // forced kernel dispatch (dsp/simd.h): simd=0 pins the scalar table,
@@ -28,6 +28,7 @@
 
 #include "channel/csi_synth.h"
 #include "core/sanitizer.h"
+#include "core/stability.h"
 #include "dsp/dtw.h"
 #include "dsp/series_match.h"
 #include "dsp/simd.h"
@@ -298,6 +299,40 @@ void BM_Sanitizer(benchmark::State& state) {
                  level_label(*table) + ")");
 }
 BENCHMARK(BM_Sanitizer)->ArgNames({"simd"})->Arg(0)->Arg(1);
+
+// The per-frame stable-phase check (Sec. 3.4.1) at the live feed rate:
+// one update per 2 ms frame against a full 1.2 s (600-sample) window.
+// `moving` swings the phase by far more than the spread bar, so no
+// verdict passes; `flat` stays inside it, so every update also folds
+// the window mean.
+void BM_StablePhaseUpdate(benchmark::State& state, bool flat) {
+  constexpr std::size_t kTable = 4096;
+  constexpr double kDt = 0.002;
+  util::Rng rng(6);
+  std::vector<double> phases(kTable);
+  for (std::size_t i = 0; i < kTable; ++i) {
+    const double t = kDt * static_cast<double>(i);
+    phases[i] = flat ? 0.3 + rng.uniform(-0.01, 0.01)
+                     : 0.5 * std::sin(2.0 * 3.14159265 * t);
+  }
+  core::StablePhaseDetector det;
+  std::size_t i = 0;
+  for (; i < kTable; ++i) {
+    (void)det.update(kDt * static_cast<double>(i), phases[i % kTable]);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        det.update(kDt * static_cast<double>(i), phases[i % kTable]));
+    ++i;
+  }
+  if (det.is_stable() != flat) {
+    state.SkipWithError("workload did not hold its intended verdict");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(flat ? "always stable" : "never stable");
+}
+BENCHMARK_CAPTURE(BM_StablePhaseUpdate, moving, false);
+BENCHMARK_CAPTURE(BM_StablePhaseUpdate, flat, true);
 
 }  // namespace
 

@@ -1,7 +1,5 @@
 #include "core/stability.h"
 
-#include <algorithm>
-
 namespace vihot::core {
 
 StablePhaseDetector::StablePhaseDetector()
@@ -12,29 +10,39 @@ StablePhaseDetector::StablePhaseDetector(const Config& config)
 
 bool StablePhaseDetector::update(double t, double phase) {
   window_.push_back({t, phase});
+  while (!min_q_.empty() && min_q_.back().phase > phase) min_q_.pop_back();
+  while (!max_q_.empty() && max_q_.back().phase < phase) max_q_.pop_back();
+  min_q_.push_back({pushed_, phase});
+  max_q_.push_back({pushed_, phase});
+  ++pushed_;
   while (!window_.empty() && window_.front().t < t - config_.window_s) {
     window_.pop_front();
+    ++evicted_;
   }
+  while (!min_q_.empty() && min_q_.front().seq < evicted_) min_q_.pop_front();
+  while (!max_q_.empty() && max_q_.front().seq < evicted_) max_q_.pop_front();
   if (window_.size() < config_.min_samples ||
       (window_.back().t - window_.front().t) < 0.9 * config_.window_s) {
     stable_ = false;
     return false;
   }
-  double lo = window_.front().phase;
-  double hi = lo;
-  double sum = 0.0;
-  for (const Entry& e : window_) {
-    lo = std::min(lo, e.phase);
-    hi = std::max(hi, e.phase);
-    sum += e.phase;
+  // The deque fronts are the window's min and max. The mean is read only
+  // while stable, so it is folded only on frames that pass.
+  stable_ = (max_q_.front().phase - min_q_.front().phase) <=
+            config_.max_spread_rad;
+  if (stable_) {
+    double sum = 0.0;
+    for (const Entry& e : window_) sum += e.phase;
+    mean_ = sum / static_cast<double>(window_.size());
   }
-  stable_ = (hi - lo) <= config_.max_spread_rad;
-  if (stable_) mean_ = sum / static_cast<double>(window_.size());
   return stable_;
 }
 
 void StablePhaseDetector::reset() {
   window_.clear();
+  min_q_.clear();
+  max_q_.clear();
+  evicted_ = pushed_;
   stable_ = false;
 }
 

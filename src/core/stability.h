@@ -7,6 +7,7 @@
 // those flat stretches in the streaming phase.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 
 namespace vihot::core {
@@ -29,7 +30,8 @@ class StablePhaseDetector {
   explicit StablePhaseDetector(const Config& config);
 
   /// Consumes one sanitized phase sample; returns true if the stream is
-  /// currently stable (head facing forward).
+  /// currently stable (head facing forward). `t` and `phase` must be
+  /// finite: the spread check's monotone deques rely on a total order.
   bool update(double t, double phase);
 
   [[nodiscard]] bool is_stable() const noexcept { return stable_; }
@@ -49,6 +51,19 @@ class StablePhaseDetector {
   };
   Config config_;
   std::deque<Entry> window_;
+  // Monotone deques over the samples in window_, tagged with their push
+  // sequence number: phases increase front to back in min_q_ (front =
+  // window min) and decrease in max_q_ (front = window max), so the
+  // spread costs O(1) amortised per update. An entry leaves with its
+  // window_ sample: its seq falls below evicted_.
+  struct Ranked {
+    std::uint64_t seq;
+    double phase;
+  };
+  std::deque<Ranked> min_q_;
+  std::deque<Ranked> max_q_;
+  std::uint64_t pushed_ = 0;
+  std::uint64_t evicted_ = 0;
   bool stable_ = false;
   double mean_ = 0.0;
 };

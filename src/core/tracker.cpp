@@ -75,6 +75,13 @@ ViHotTracker::ViHotTracker(std::shared_ptr<const CsiProfile> profile,
 
 void ViHotTracker::push_csi(const wifi::CsiMeasurement& m) {
   if (profile_->empty()) return;
+  // Same rule as the engine's ingest boundary: a NaN timestamp would slip
+  // past the out-of-order check below, and the stability detector needs
+  // finite phases.
+  if (!m.all_finite()) {
+    if (config_.sink != nullptr) config_.sink->tracker.csi_non_finite.inc();
+    return;
+  }
   // An out-of-order frame would corrupt the lower_bound-based buffer
   // lookups downstream (TimeSeries::push only asserts in debug builds);
   // drop it and count the drop instead.

@@ -262,17 +262,21 @@ SeriesMatch finalize_scan(std::vector<MatchHit>& hits,
     hits.erase(kept, hits.end());
 
     // Total order (distance, start, length): ties on distance must not
-    // resolve differently between scan modes.
-    std::sort(hits.begin(), hits.end(),
-              [](const MatchHit& a, const MatchHit& b) {
-                if (a.distance != b.distance) return a.distance < b.distance;
-                if (a.start != b.start) return a.start < b.start;
-                return a.length < b.length;
-              });
+    // resolve differently between scan modes. (start, length) is unique
+    // per hit, so the order is strict and a min-heap pops hits in exactly
+    // the sorted order; only the few the greedy pick reaches are popped.
+    const auto after = [](const MatchHit& a, const MatchHit& b) {
+      if (a.distance != b.distance) return a.distance > b.distance;
+      if (a.start != b.start) return a.start > b.start;
+      return a.length > b.length;
+    };
+    std::make_heap(hits.begin(), hits.end(), after);
 
     // Greedy non-overlapping top-K by ascending distance.
-    for (const MatchHit& h : hits) {
+    for (auto end = hits.end(); end != hits.begin(); --end) {
       if (best.top.size() >= std::max<std::size_t>(opt.top_k, 1)) break;
+      std::pop_heap(hits.begin(), end, after);
+      const MatchHit& h = *(end - 1);
       bool clash = false;
       for (const auto& c : best.top) {
         if (overlaps(h.start, h.length, c.start, c.length)) {

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cmath>
-#include <complex>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
@@ -51,13 +50,7 @@ namespace vihot::engine {
 // the out-of-order guard.
 [[nodiscard]] inline bool finite_sample(
     const wifi::CsiMeasurement& m) noexcept {
-  if (!std::isfinite(m.t)) return false;
-  for (const auto& antenna : m.h) {
-    for (const std::complex<double>& h : antenna) {
-      if (!std::isfinite(h.real()) || !std::isfinite(h.imag())) return false;
-    }
-  }
-  return true;
+  return m.all_finite();
 }
 [[nodiscard]] inline bool finite_sample(const imu::ImuSample& s) noexcept {
   return std::isfinite(s.t) && std::isfinite(s.gyro_yaw_rad_s) &&

@@ -50,6 +50,7 @@ namespace vihot::obs {
   C(mode_csi, "mode_csi")                 /* served in CSI mode */        \
   C(mode_fallback, "mode_fallback")       /* served in camera fallback */ \
   C(csi_out_of_order, "csi_out_of_order") /* stale-timestamp drops */     \
+  C(csi_non_finite, "csi_non_finite")     /* NaN/Inf frame drops */       \
                                                                           \
   /* Stage 1: ModeArbiter. */                                             \
   C(fallback_engaged, "fallback_engaged") /* CSI -> camera fallback */    \

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <complex>
 #include <vector>
 
@@ -31,6 +32,17 @@ struct CsiMeasurement {
   [[nodiscard]] double amplitude(std::size_t antenna,
                                  std::size_t subcarrier) const noexcept {
     return std::abs(h[antenna][subcarrier]);
+  }
+  /// True iff the timestamp and every channel coefficient are finite
+  /// (the feed guard of engine::finite_sample and ViHotTracker::push_csi).
+  [[nodiscard]] bool all_finite() const noexcept {
+    if (!std::isfinite(t)) return false;
+    for (const auto& antenna : h) {
+      for (const std::complex<double>& x : antenna) {
+        if (!std::isfinite(x.real()) || !std::isfinite(x.imag())) return false;
+      }
+    }
+    return true;
   }
 };
 

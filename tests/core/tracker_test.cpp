@@ -98,6 +98,41 @@ TEST_F(TrackerTest, DropsAndCountsOutOfOrderCsi) {
   EXPECT_EQ(sink.tracker.mode_fallback.value(), 0u);
 }
 
+TEST_F(TrackerTest, DropsAndCountsNonFiniteCsi) {
+  // A NaN timestamp compares false against everything: pushed, it would
+  // become the buffer's back and let a later stale frame past the
+  // out-of-order check. Non-finite frames are dropped and counted first.
+  obs::Sink sink;
+  TrackerConfig config;
+  config.sink = &sink;
+  ViHotTracker tracker(testing::synthetic_profile(3), config);
+  ViHotTracker clean(testing::synthetic_profile(3), TrackerConfig{});
+  const auto make = [](double t) {
+    wifi::CsiMeasurement m;
+    m.t = t;
+    m.h[0].assign(4, std::polar(1.0, 0.3));
+    m.h[1].assign(4, {1.0, 0.0});
+    return m;
+  };
+  const double nan = std::nan("");
+  wifi::CsiMeasurement inf_coeff = make(1.01);
+  inf_coeff.h[0][2] = {INFINITY, 0.0};
+  wifi::CsiMeasurement nan_coeff = make(1.01);
+  nan_coeff.h[1][0] = {1.0, nan};
+  for (const wifi::CsiMeasurement& m :
+       {make(1.00), make(nan), inf_coeff, nan_coeff, make(0.50), make(1.02)}) {
+    tracker.push_csi(m);
+  }
+  clean.push_csi(make(1.00));
+  clean.push_csi(make(1.02));
+  EXPECT_EQ(sink.tracker.csi_non_finite.value(), 3u);
+  EXPECT_EQ(sink.tracker.csi_out_of_order.value(), 1u);
+  const TrackResult got = tracker.estimate(1.02);
+  const TrackResult want = clean.estimate(1.02);
+  EXPECT_EQ(got.valid, want.valid);
+  EXPECT_EQ(got.theta_rad, want.theta_rad);
+}
+
 TEST_F(TrackerTest, TracksWithLowMedianError) {
   ViHotTracker tracker(testing::simulated_profile(), TrackerConfig{});
   std::vector<double> errors;

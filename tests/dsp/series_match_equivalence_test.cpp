@@ -12,12 +12,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "dsp/dtw.h"
 #include "tests/dsp/match_option_matrix.h"
 
 namespace vihot::dsp {
@@ -227,6 +232,164 @@ TEST(MatcherEquivalence, DcOffsetCapAppliesUnderMeanCentering) {
   ASSERT_TRUE(beyond.found);
   EXPECT_GT(beyond.distance, 0.01);
   EXPECT_GT(beyond.distance, within.distance * 100.0);
+}
+
+// Top-K oracle. find_best_match_reference shares the matcher's report
+// assembly (winner, retention filter, top-K selection), so comparing the
+// two cannot catch a selection bug. This oracle shares none of it: it
+// scores every candidate through the plain dtw_distance with the same
+// arithmetic as the scan (prefix-sum means, segment-side DC shift,
+// length normalization), fully sorts the retained hits by (distance,
+// start, length) and runs the greedy non-overlap pick.
+SeriesMatch oracle_match(std::span<const double> query,
+                         std::span<const double> reference,
+                         const SeriesMatchOptions& opt) {
+  struct Hit {
+    std::size_t start;
+    std::size_t length;
+    double distance;
+    double score;
+  };
+  std::vector<std::size_t> lengths;
+  const std::size_t n_lengths = std::max<std::size_t>(opt.num_lengths, 1);
+  const double lo_f = std::max(opt.min_length_factor, 0.0);
+  const double hi_f = std::max(opt.max_length_factor, lo_f);
+  for (std::size_t k = 0; k < n_lengths; ++k) {
+    const double f = (n_lengths == 1)
+                         ? lo_f
+                         : lo_f + (hi_f - lo_f) * static_cast<double>(k) /
+                                      static_cast<double>(n_lengths - 1);
+    const auto len = static_cast<std::size_t>(
+        std::round(f * static_cast<double>(query.size())));
+    if (len >= 2) lengths.push_back(len);
+  }
+  std::sort(lengths.begin(), lengths.end());
+  lengths.erase(std::unique(lengths.begin(), lengths.end()), lengths.end());
+
+  std::vector<double> prefix;
+  build_prefix_sums(reference, prefix);
+  double qsum = 0.0;
+  for (const double v : query) qsum += v;
+  const double qmean = qsum / static_cast<double>(query.size());
+  std::vector<double> q(query.begin(), query.end());
+  if (opt.mean_center) {
+    for (double& v : q) v -= qmean;
+  }
+
+  std::vector<Hit> hits;
+  const std::size_t stride = std::max<std::size_t>(opt.start_stride, 1);
+  for (const std::size_t len : lengths) {
+    for (std::size_t start = 0; start + len <= reference.size();
+         start += stride) {
+      if (opt.candidate_filter && !opt.candidate_filter(start, len)) continue;
+      const double smean =
+          (prefix[start + len] - prefix[start]) / static_cast<double>(len);
+      const double cap = opt.max_dc_offset;
+      double shift = 0.0;
+      if (opt.mean_center) {
+        shift = cap > 0.0 ? qmean + std::clamp(smean - qmean, -cap, cap)
+                          : smean;
+      } else if (cap > 0.0) {
+        shift = std::clamp(smean - qmean, -cap, cap);
+      }
+      std::vector<double> seg(len);
+      for (std::size_t j = 0; j < len; ++j) {
+        seg[j] = reference[start + j] - shift;
+      }
+      const double d_raw = dtw_distance(q, seg, opt.dtw);
+      if (std::isinf(d_raw)) continue;
+      const double d = d_raw / static_cast<double>(q.size() + len);
+      const double bias = opt.score_bias ? opt.score_bias(start, len) : 0.0;
+      hits.push_back({start, len, d, d + bias});
+    }
+  }
+
+  SeriesMatch best;
+  if (hits.empty()) return best;
+  const Hit* win = &hits[0];
+  for (const Hit& h : hits) {
+    if (h.score < win->score) win = &h;
+  }
+  best.found = true;
+  best.start = win->start;
+  best.length = win->length;
+  best.distance = win->distance;
+  best.score = win->score;
+
+  const double bar = std::max(opt.runner_up_slack, 1.0) * best.score +
+                     std::max(opt.runner_up_slack_abs, 0.0);
+  std::vector<Hit> kept;
+  for (const Hit& h : hits) {
+    if (h.distance <= bar) kept.push_back(h);
+  }
+  std::sort(kept.begin(), kept.end(), [](const Hit& a, const Hit& b) {
+    if (a.distance != b.distance) return a.distance < b.distance;
+    if (a.start != b.start) return a.start < b.start;
+    return a.length < b.length;
+  });
+  for (const Hit& h : kept) {
+    if (best.top.size() >= std::max<std::size_t>(opt.top_k, 1)) break;
+    const bool clash =
+        std::any_of(best.top.begin(), best.top.end(),
+                    [&](const SeriesMatch::Candidate& c) {
+                      return h.start < c.end() && c.start < h.start + h.length;
+                    });
+    if (!clash) best.top.push_back({h.start, h.length, h.distance});
+  }
+  if (best.top.size() >= 2) {
+    best.runner_up = best.top[1].distance;
+    best.runner_up_start = best.top[1].start;
+    best.runner_up_length = best.top[1].length;
+  }
+  return best;
+}
+
+// Step levels held for whole blocks: a flat query then matches every
+// same-level stretch at exactly the same distance, so the top-K order
+// rests on the (start, length) tie-break alone.
+std::vector<double> piecewise_constant(std::size_t n, std::size_t block) {
+  static constexpr double kLevels[] = {0.0, 0.5, 0.0, -0.5, 0.5, 0.0};
+  std::vector<double> xs(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    xs[i] = kLevels[(i / block) % std::size(kLevels)];
+  }
+  return xs;
+}
+
+TEST(MatcherEquivalence, TopKMatchesSortingOracle) {
+  struct Case {
+    const char* name;
+    std::vector<double> query;
+    std::vector<double> reference;
+  };
+  std::vector<double> step_query(30, 0.0);
+  std::fill(step_query.begin() + 15, step_query.end(), 0.5);
+  const std::vector<Case> cases = {
+      {"noisy_sine", noisy_sine(30, 48.0, 62), noisy_sine(600, 48.0, 61)},
+      {"piecewise_flat", std::vector<double>(30, 0.0),
+       piecewise_constant(600, 70)},
+      {"piecewise_step", step_query, piecewise_constant(600, 40)},
+  };
+  for (const Case& c : cases) {
+    for (const NamedOptions& cfg : option_matrix()) {
+      for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                                  std::size_t{64}}) {
+        SeriesMatchOptions opt = cfg.opt;
+        opt.top_k = k;
+        const SeriesMatch want = oracle_match(c.query, c.reference, opt);
+        const SeriesMatch got = find_best_match(c.query, c.reference, opt);
+        const std::string what = std::string(c.name) + "/" + cfg.name +
+                                 "/top_k=" + std::to_string(k);
+        expect_same_match(got, want, what.c_str());
+        EXPECT_LE(got.top.size(), k) << what;
+        if (k == 64 && std::string(c.name) == "piecewise_flat") {
+          // The tie-break really is exercised: distinct hits, same bits.
+          ASSERT_GE(got.top.size(), 2u) << what;
+          EXPECT_EQ(got.top[0].distance, got.top[1].distance) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -23,29 +23,13 @@
 #include "dsp/simd.h"
 #include "dsp/simd_impl.h"
 #include "tests/dsp/match_option_matrix.h"
+#include "tests/same_bits.h"
 #include "wifi/csi.h"
 
 namespace vihot::dsp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool bits_equal(double a, double b) {
-  std::uint64_t ua = 0;
-  std::uint64_t ub = 0;
-  std::memcpy(&ua, &a, sizeof(a));
-  std::memcpy(&ub, &b, sizeof(b));
-  return ua == ub;
-}
-
-::testing::AssertionResult SameBits(const char* a_expr, const char* b_expr,
-                                    double a, double b) {
-  if (bits_equal(a, b)) return ::testing::AssertionSuccess();
-  return ::testing::AssertionFailure()
-         << a_expr << " and " << b_expr << " differ: " << a << " vs " << b;
-}
-
-#define EXPECT_SAME_BITS(a, b) EXPECT_PRED_FORMAT2(SameBits, a, b)
 
 std::vector<double> random_values(std::size_t n, std::uint32_t seed,
                                   double lo = -3.0, double hi = 3.0) {
