@@ -1,15 +1,19 @@
 // Microbenchmarks (google-benchmark) for the compute kernels behind the
 // real-time claim of Sec. 7: ViHOT needs only 1D series matching, far
 // cheaper than 2D image processing. These measure the DTW kernel, its
-// four-lane batched form, the full Algorithm-1 segment search, the
-// sanitizer, the per-frame stable-phase detector, and the channel
-// synthesizer, so regressions in the hot paths are visible.
+// lane-batched form, the full Algorithm-1 segment search, the sanitizer,
+// the per-frame stable-phase detector, and the channel synthesizer, so
+// regressions in the hot paths are visible.
 //
-// Benchmarks with a `simd` argument run the same workload twice through
-// forced kernel dispatch (dsp/simd.h): simd=0 pins the scalar table,
-// simd=1 the AVX2 table (skipped with an error when the host lacks
-// AVX2). Both variants return bit-identical results — proven by the
-// matcher-equivalence tests — so the delta is pure kernel speed.
+// Benchmarks with a `simd` argument run the same workload through forced
+// kernel dispatch (dsp/simd.h): simd=0 pins the scalar table, simd=1 the
+// AVX2 table (skipped with an error when the host lacks AVX2). Both
+// variants return bit-identical results — proven by the
+// matcher-equivalence tests — so the delta is pure kernel speed. The
+// single-DTW benchmarks (BM_DtwDistance*) time dtw_distance, which always
+// runs the scalar row-major kernel; they keep the simd=0 name the CI gate
+// and the baselines key on. BM_DtwLanes is the scalar-vs-AVX2 A/B of the
+// DTW kernel.
 //
 // Extra CLI sugar on top of google-benchmark's own flags:
 //   --json[=PATH]   emit the JSON report to PATH (default BENCH_dtw.json)
@@ -62,12 +66,6 @@ std::string level_label(const dsp::simd::KernelTable& table) {
 }
 
 void BM_DtwDistance(benchmark::State& state) {
-  const auto* table = table_for(state.range(1));
-  if (table == nullptr) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  const dsp::simd::ForcedKernels forced(*table);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = noisy_sine(n, 20.0, 1);
   const auto b = noisy_sine(2 * n, 40.0, 2);
@@ -75,16 +73,18 @@ void BM_DtwDistance(benchmark::State& state) {
     benchmark::DoNotOptimize(dsp::dtw_distance(a, b));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(level_label(*table));
+  state.SetLabel("scalar");
 }
 BENCHMARK(BM_DtwDistance)
     ->ArgNames({"n", "simd"})
-    ->ArgsProduct({{10, 21, 42, 84}, {0, 1}});
+    ->ArgsProduct({{10, 21, 42, 84}, {0}});
 
-// The matcher's batched entry: BM_DtwDistance's inputs (query n = 21,
-// full band, no abandon bar) in every lane of one dtw_banded_batch call,
-// with segment length m. Items are single DTWs, so items/s next to
-// BM_DtwDistance/n:21 (m = 42) is the per-DTW ratio of the lane kernel.
+// The matcher's batched entry, the only dispatched DTW kernel:
+// BM_DtwDistance's inputs (query n = 21, full band, no abandon bar) in
+// every lane of one dtw_banded_batch call, with segment length m. simd=0
+// vs simd=1 is the scalar-vs-AVX2 A/B of the DTW kernel. Items are
+// single DTWs, so items/s next to BM_DtwDistance/n:21 (m = 42) is the
+// per-DTW ratio of the lane kernel over the scalar one.
 void BM_DtwLanes(benchmark::State& state) {
   const auto* table = table_for(state.range(1));
   if (table == nullptr) {
@@ -121,12 +121,6 @@ BENCHMARK(BM_DtwLanes)
     ->ArgsProduct({{10, 21, 42}, {0, 1}});
 
 void BM_DtwDistanceBanded(benchmark::State& state) {
-  const auto* table = table_for(state.range(1));
-  if (table == nullptr) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  const dsp::simd::ForcedKernels forced(*table);
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto a = noisy_sine(n, 20.0, 1);
   const auto b = noisy_sine(2 * n, 40.0, 2);
@@ -135,11 +129,11 @@ void BM_DtwDistanceBanded(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(dsp::dtw_distance(a, b, opt));
   }
-  state.SetLabel(level_label(*table));
+  state.SetLabel("scalar");
 }
 BENCHMARK(BM_DtwDistanceBanded)
     ->ArgNames({"n", "simd"})
-    ->ArgsProduct({{21, 42, 84}, {0, 1}});
+    ->ArgsProduct({{21, 42, 84}, {0}});
 
 // Narrow band at growing length: the row-clearing regression row. With a
 // 5% band the per-row DP work is O(band), so cost must scale ~linearly
@@ -147,12 +141,6 @@ BENCHMARK(BM_DtwDistanceBanded)
 // the band — this benchmark is the A/B witness for the span-clearing
 // fix (see EXPERIMENTS.md).
 void BM_DtwDistanceBandedNarrow(benchmark::State& state) {
-  const auto* table = table_for(state.range(1));
-  if (table == nullptr) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  const dsp::simd::ForcedKernels forced(*table);
   const auto n = static_cast<std::size_t>(state.range(0));
   // Square problem: with m = 2n the band would be widened to the |n - m|
   // slope gap and stop being narrow, defeating the point of this row.
@@ -163,11 +151,11 @@ void BM_DtwDistanceBandedNarrow(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(dsp::dtw_distance(a, b, opt));
   }
-  state.SetLabel("band 5%; " + level_label(*table));
+  state.SetLabel("band 5%; scalar");
 }
 BENCHMARK(BM_DtwDistanceBandedNarrow)
     ->ArgNames({"n", "simd"})
-    ->ArgsProduct({{84, 256, 1024}, {0, 1}});
+    ->ArgsProduct({{84, 256, 1024}, {0}});
 
 // The full Algorithm-1 inner loop: one orientation estimate against a
 // 10 s / 200 Hz profile — the per-estimate cost of the live tracker.

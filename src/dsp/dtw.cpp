@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/simd_impl.h"
+
 namespace vihot::dsp {
 
 namespace {
@@ -42,46 +44,34 @@ void dtw_band_geometry(std::size_t n, std::size_t m, std::size_t band,
   }
 }
 
-void DtwBuffers::reset(std::size_t n, std::size_t m) {
-  const std::size_t cells = std::max(n, m) + 1;
-  // Round the lane stride up to a full 4-double group so every lane
-  // starts on a 32-byte boundary of the aligned block.
-  const std::size_t stride = (cells + 3) & ~std::size_t{3};
-  if (stride > stride_) {
-    // Growing changes where lane boundaries fall inside the block, so a
-    // full +infinity refill is required HERE — but only here. At steady
-    // state the kernels' all-infinity invariant (simd.h) means nothing
-    // needs refilling between calls; that is the banded-clearing fix.
-    stride_ = stride;
-    block_.assign(4 * stride_, kInf);
-  }
-  if (jlo_.size() < n + 1) {
-    jlo_.resize(n + 1);
-    jhi_.resize(n + 1);
-  }
-}
-
-double dtw_distance_buffered(std::span<const double> a,
-                             std::span<const double> b,
-                             const DtwOptions& options,
-                             DtwBuffers& buffers) {
+double dtw_distance(std::span<const double> a, std::span<const double> b,
+                    const DtwOptions& options) {
   const std::size_t n = a.size();
   const std::size_t m = b.size();
   if (n == 0 || m == 0) return kInf;
 
-  const std::size_t band = dtw_band_cells(options, n, m);
-  buffers.reset(n, m);
-
-  dtw_band_geometry(n, m, band, buffers.j_lo(), buffers.j_hi());
-  return simd::active().dtw_banded(a.data(), n, b.data(), m, buffers.j_lo(),
-                                   buffers.j_hi(), options.abandon_above,
-                                   buffers.lanes());
-}
-
-double dtw_distance(std::span<const double> a, std::span<const double> b,
-                    const DtwOptions& options) {
-  thread_local DtwBuffers buffers;
-  return dtw_distance_buffered(a, b, options, buffers);
+  // Two DP rows that are all +infinity between calls (the kernel restores
+  // every cell it writes), plus the band geometry. Growing only appends
+  // +infinity cells, so steady-state reuse neither allocates nor refills.
+  struct Scratch {
+    std::vector<double> prev, curr;
+    std::vector<std::size_t> j_lo, j_hi;
+  };
+  thread_local Scratch s;
+  if (s.prev.size() < m + 1) {
+    s.prev.resize(m + 1, kInf);
+    s.curr.resize(m + 1, kInf);
+  }
+  if (s.j_lo.size() < n + 1) {
+    s.j_lo.resize(n + 1);
+    s.j_hi.resize(n + 1);
+  }
+  dtw_band_geometry(n, m, dtw_band_cells(options, n, m), s.j_lo.data(),
+                    s.j_hi.data());
+  return simd::detail::dtw_banded_rowmajor(a.data(), n, b.data(), m,
+                                           s.j_lo.data(), s.j_hi.data(),
+                                           options.abandon_above,
+                                           s.prev.data(), s.curr.data());
 }
 
 double dtw_distance_normalized(std::span<const double> a,
@@ -99,19 +89,16 @@ DtwAlignment dtw_align(std::span<const double> a, std::span<const double> b,
   const std::size_t m = b.size();
   if (n == 0 || m == 0) return out;
 
-  const std::size_t band = dtw_band_cells(options, n, m);
+  std::vector<std::size_t> j_lo(n + 1);
+  std::vector<std::size_t> j_hi(n + 1);
+  dtw_band_geometry(n, m, dtw_band_cells(options, n, m), j_lo.data(),
+                    j_hi.data());
   std::vector<std::vector<double>> dp(n + 1,
                                       std::vector<double>(m + 1, kInf));
   dp[0][0] = 0.0;
   for (std::size_t i = 1; i <= n; ++i) {
-    const auto diag =
-        static_cast<std::size_t>(static_cast<double>(i) *
-                                 static_cast<double>(m) /
-                                 static_cast<double>(n));
-    const std::size_t j_lo = (diag > band) ? diag - band : 1;
-    const std::size_t j_hi = std::min(m, diag + band);
     double row_min = kInf;
-    for (std::size_t j = std::max<std::size_t>(j_lo, 1); j <= j_hi; ++j) {
+    for (std::size_t j = j_lo[i]; j <= j_hi[i]; ++j) {
       const double best_prev =
           std::min({dp[i - 1][j], dp[i - 1][j - 1], dp[i][j - 1]});
       if (best_prev == kInf) continue;

@@ -11,9 +11,10 @@
 //     hopeless ones keeps the matcher real-time),
 //   * optional warp-path extraction for diagnostics.
 //
-// The banded DP runs through the dispatched SIMD kernels (dsp/simd.h):
-// scalar and AVX2 paths are bit-identical by contract, so every variant
-// below returns the same bits regardless of which table is active.
+// dtw_distance runs the scalar row-major kernel (dsp/simd_impl.h), the
+// bit contract of the matcher's dispatched batch entry
+// (simd::KernelTable::dtw_banded_batch), so it returns the same bits as
+// the matcher's DTW whichever kernel table is active.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +22,6 @@
 #include <span>
 #include <utility>
 #include <vector>
-
-#include "dsp/simd.h"
 
 namespace vihot::dsp {
 
@@ -37,52 +36,14 @@ struct DtwOptions {
   double abandon_above = std::numeric_limits<double>::infinity();
 };
 
-/// Contiguous 32-byte-aligned scratch for the banded DTW kernel: four
-/// lanes of stride cells carved out of ONE allocation (simd::DtwLanes),
-/// plus the per-row band-geometry arrays the wrapper fills. Grows
-/// monotonically and relies on the kernels' all-infinity lane invariant
-/// (simd.h), so steady-state reuse across a scan of thousands of
-/// candidates is allocation-free AND refill-free — only the cells a
-/// kernel actually wrote are ever touched again.
-class DtwBuffers {
- public:
-  /// Ensure capacity for an (n, m) problem: four +infinity lanes with
-  /// stride >= max(n, m) + 1 and geometry arrays of n + 1 entries.
-  void reset(std::size_t n, std::size_t m);
-
-  /// Lane views for the kernel call; valid until a growing reset().
-  [[nodiscard]] simd::DtwLanes lanes() noexcept {
-    double* base = block_.data();
-    return simd::DtwLanes{base, base + stride_, base + 2 * stride_,
-                          base + 3 * stride_, stride_};
-  }
-
-  /// Per-row band columns, indexed [1, n] (cell 0 unused).
-  [[nodiscard]] std::size_t* j_lo() noexcept { return jlo_.data(); }
-  [[nodiscard]] std::size_t* j_hi() noexcept { return jhi_.data(); }
-
- private:
-  simd::AlignedVector block_;
-  std::vector<std::size_t> jlo_;
-  std::vector<std::size_t> jhi_;
-  std::size_t stride_ = 0;
-};
-
 /// DTW distance between `a` and `b` with squared-difference local cost.
 /// Returns +infinity when either input is empty, when the band makes the
-/// end cell unreachable, or when the evaluation was abandoned.
+/// end cell unreachable, or when the evaluation was abandoned. The DP
+/// rows are thread_local scratch reused across calls, so repeated
+/// evaluations allocate nothing once the rows have grown.
 [[nodiscard]] double dtw_distance(std::span<const double> a,
                                   std::span<const double> b,
                                   const DtwOptions& options = {});
-
-/// dtw_distance with caller-provided DP scratch, so repeated evaluations
-/// allocate nothing. Bit-identical to dtw_distance: both run the same
-/// kernel. (dsp::find_best_match scores its candidates in batches
-/// through KernelTable::dtw_banded_batch instead, bit-identical to this.)
-[[nodiscard]] double dtw_distance_buffered(std::span<const double> a,
-                                           std::span<const double> b,
-                                           const DtwOptions& options,
-                                           DtwBuffers& buffers);
 
 /// Sakoe-Chiba band half-width in cells that dtw_distance / dtw_align use
 /// for an (n, m) problem under `options` (the band is widened to at least

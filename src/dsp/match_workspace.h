@@ -46,9 +46,9 @@ void build_prefix_sums(std::span<const double> xs, std::vector<double>& out);
 /// Scratch for the lane-batched DTW of one candidate length: the
 /// kernel's simd::DtwBatchScratch, the band geometry every start offset
 /// of the length shares, and one shifted-segment row per lane, all
-/// carved from one 32-byte-aligned block. Like DtwBuffers it grows
-/// monotonically and leans on the kernels' all-infinity row invariant,
-/// so steady-state batches neither allocate nor refill.
+/// carved from one 32-byte-aligned block. It grows monotonically and
+/// leans on the kernels' all-infinity row invariant, so steady-state
+/// batches neither allocate nor refill.
 class DtwBatchBuffers {
  public:
   /// Ensure capacity for (n, m) batches: a stride >= max(n, m) + 1 and

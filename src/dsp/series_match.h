@@ -179,8 +179,10 @@ struct SeriesMatch {
 /// Reference implementation: the same scan with no pruning, no early
 /// abandoning, no scratch reuse, and per-candidate allocations. Exists to
 /// pin the fast path down — the matcher-equivalence tests assert both
-/// return bit-identical results. Ignores the pruning toggles in
-/// `options`.
+/// return bit-identical results. It scores every candidate with
+/// dtw_distance, the scalar row-major kernel, whichever kernel table is
+/// active, so those tests hold the dispatched batch kernel to the scalar
+/// contract. Ignores the pruning toggles in `options`.
 [[nodiscard]] SeriesMatch find_best_match_reference(
     std::span<const double> query, std::span<const double> reference,
     const SeriesMatchOptions& options = {});

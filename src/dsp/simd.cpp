@@ -10,24 +10,10 @@ namespace vihot::dsp::simd {
 
 namespace {
 
-using detail::kInf;
-
 // ---------------------------------------------------------------------------
 // Scalar kernels: the bit-contract. Every other table must reproduce
 // these operation sequences exactly (see simd.h / DESIGN.md §5j).
 // ---------------------------------------------------------------------------
-
-// The fused row-major DP lives in simd_impl.h (detail::
-// dtw_banded_rowmajor) because it is shared: it IS the scalar kernel,
-// the per-lane body of the scalar batch, and the AVX2 kernel delegates
-// small abandon-bounded problems to it.
-double scalar_dtw_banded(const double* a, std::size_t n, const double* b,
-                         std::size_t m, const std::size_t* j_lo,
-                         const std::size_t* j_hi, double abandon_above,
-                         const DtwLanes& lanes) noexcept {
-  return detail::dtw_banded_rowmajor(a, n, b, m, j_lo, j_hi, abandon_above,
-                                     lanes);
-}
 
 double scalar_band_lower_bound(const double* seg, const double* lo,
                                const double* hi, std::size_t n,
@@ -73,10 +59,9 @@ void scalar_conj_products(const std::complex<double>* a,
 }
 
 // The batch entry is detail::dtw_banded_batch_rowmajor itself: the
-// per-lane loop over the scalar kernel that defines the batch contract.
+// per-lane loop over the row-major kernel that defines the batch contract.
 constexpr KernelTable kScalarTable{
     Level::kScalar,
-    scalar_dtw_banded,
     detail::dtw_banded_batch_rowmajor,
     scalar_band_lower_bound,
     scalar_envelope_update,

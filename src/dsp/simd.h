@@ -66,25 +66,8 @@ struct AlignedAllocator {
 };
 
 /// 32-byte-aligned double buffer; the element type of every per-candidate
-/// scratch span in MatchWorkspace / DtwBuffers.
+/// scratch span in MatchWorkspace.
 using AlignedVector = std::vector<double, AlignedAllocator<double>>;
-
-/// Scratch for the banded DTW kernel: four 32-byte-aligned double lanes
-/// of `stride` cells each, carved out of one allocation (dsp::DtwBuffers
-/// owns the block). INVARIANT between calls: every lane cell is
-/// +infinity — each kernel restores the cells it dirtied before
-/// returning (clearing only written spans, which is what keeps banded
-/// DTW O(band) per row instead of the historical full-row refill).
-/// How the lanes are used is implementation-private: the scalar kernel
-/// rolls two DP rows, the AVX2 kernel rolls three anti-diagonals plus a
-/// per-row minimum lane.
-struct DtwLanes {
-  double* lane0 = nullptr;
-  double* lane1 = nullptr;
-  double* lane2 = nullptr;
-  double* lane3 = nullptr;
-  std::size_t stride = 0;  ///< cells per lane; >= max(n, m) + 1
-};
 
 /// Candidates one dtw_banded_batch call scores: two AVX2 vectors of
 /// four doubles, whose independent DP chains hide each other's latency.
@@ -92,11 +75,13 @@ inline constexpr std::size_t kDtwBatchLanes = 8;
 
 /// Scratch for the batched DTW kernel, carved by dsp::DtwBatchBuffers
 /// out of one 32-byte-aligned block. INVARIANT between calls: every
-/// `rows` cell is +infinity, restored by each kernel as for DtwLanes.
-/// `block` carries no invariant; a kernel may overwrite it freely. The
-/// scalar kernel uses the first four strides of `rows` as a DtwLanes;
-/// the AVX2 kernel rolls two DP rows of kDtwBatchLanes interleaved
-/// lanes there and transposes the segments into `block`.
+/// `rows` cell is +infinity — each kernel restores the cells it dirtied
+/// before returning (clearing only written spans, which keeps banded DTW
+/// O(band) per row). `block` carries no invariant; a kernel may
+/// overwrite it freely. The scalar kernel rolls its two DP rows in the
+/// first two strides of `rows`; the AVX2 kernel rolls two DP rows of
+/// kDtwBatchLanes interleaved lanes there and transposes the segments
+/// into `block`.
 struct DtwBatchScratch {
   double* rows = nullptr;   ///< 2 * kDtwBatchLanes * stride cells
   double* block = nullptr;  ///< kDtwBatchLanes * stride cells
@@ -110,10 +95,13 @@ struct DtwBatchScratch {
 struct KernelTable {
   Level level = Level::kScalar;
 
-  /// (a) One whole banded DTW evaluation (dtw_distance_buffered; the
-  /// matcher uses dtw_banded_batch below).
+  /// (a) Up to kDtwBatchLanes banded DTW evaluations of ONE shape, the
+  /// matcher's entry (every start offset of a candidate length shares
+  /// n, m, the band and the bar). This is the only dispatched DTW entry;
+  /// dsp::dtw_distance runs the scalar row-major kernel directly.
   ///
-  /// The DP is the classic one: dp[0][0] = 0, every other boundary cell
+  /// Each lane l in [0, count) scores the segment segs[l] (call it b)
+  /// with the classic DP: dp[0][0] = 0, every other boundary cell
   /// +infinity, and for each row i in [1, n] and in-band column j in
   /// [j_lo[i], j_hi[i]] (1-based, inclusive, j_lo[i] <= j_hi[i]):
   ///
@@ -124,47 +112,25 @@ struct KernelTable {
   /// rounding, so its association/evaluation order is free), and exactly
   /// ONE rounded add — with `inf + finite == inf` covering unreachable
   /// predecessors. If min over dp[i][j_lo[i]..j_hi[i]] of any row i,
-  /// taken in ascending i, exceeds abandon_above, the evaluation returns
-  /// +infinity; otherwise it returns dp[n][m]. Because every cell value
-  /// and every row minimum is a fixed expression over the inputs, the
-  /// result is bit-identical REGARDLESS of traversal order — which is
-  /// the freedom the implementations use: the scalar table rolls the DP
-  /// row by row (the loop-carried dp[i][j-1] recurrence fused into one
-  /// pass), while the AVX2 table walks anti-diagonals i + j = k, whose
-  /// cells are mutually independent and vectorize 4-wide with no FP
-  /// reassociation at all.
+  /// taken in ascending i, exceeds abandon_above, out[l] = +infinity;
+  /// otherwise out[l] = dp[n][m]. out[count..) is left untouched.
   ///
-  /// Preconditions: n >= 1, m >= 1; j_lo/j_hi are indexed [1, n] with
-  /// 1 <= j_lo[i] <= j_hi[i] <= m and both nondecreasing in i (the
-  /// Sakoe-Chiba geometry dtw_band_cells yields); lanes.stride >=
-  /// max(n, m) + 1; every lane cell is +infinity on entry. The kernel
-  /// restores the all-infinity lane invariant before returning.
-  double (*dtw_banded)(const double* a, std::size_t n, const double* b,
-                       std::size_t m, const std::size_t* j_lo,
-                       const std::size_t* j_hi, double abandon_above,
-                       const DtwLanes& lanes) noexcept;
-
-  /// (a') Up to kDtwBatchLanes banded DTW evaluations of ONE shape, the
-  /// matcher's entry (every start offset of a candidate length shares
-  /// n, m, the band and the bar). For l in [0, count):
-  ///
-  ///   out[l] = dtw_banded(a, n, segs[l], m, j_lo, j_hi, abandon_above)
-  ///
-  /// bit for bit; out[count..) is left untouched. The scalar table IS
-  /// that definition: detail::dtw_banded_batch_rowmajor runs the
-  /// row-major kernel once per live lane with the shared bar. The AVX2
-  /// table transposes the segments into an m x 8 block and runs the
-  /// eight DPs in lockstep, four lanes per vector. Every lane executes
-  /// exactly detail::dtw_cell (sub, mul, exact min, one rounded add)
-  /// and the same per-row `row_min > abandon_above` test, so nothing is
-  /// reassociated. A lane is dead from its first row over the bar (its
+  /// The scalar table IS that definition: detail::dtw_banded_batch_rowmajor
+  /// runs the row-major kernel once per live lane with the shared bar.
+  /// The AVX2 table transposes the segments into an m x 8 block and runs
+  /// the eight DPs in lockstep, four lanes per vector. Every lane
+  /// executes exactly detail::dtw_cell (sub, mul, exact min, one rounded
+  /// add) and the same per-row `row_min > abandon_above` test, so nothing
+  /// is reassociated. A lane is dead from its first row over the bar (its
   /// result is +infinity, as the scalar kernel's early return); the
   /// batch stops once every live lane is dead. Lanes past `count`
   /// compute throwaway values and never hold the batch open.
   ///
-  /// Preconditions: 1 <= count <= kDtwBatchLanes; each segs[l] holds m
-  /// finite values; the n/m/j_lo/j_hi geometry and scratch.stride as
-  /// for dtw_banded; every scratch.rows cell is +infinity on entry. The
+  /// Preconditions: 1 <= count <= kDtwBatchLanes; n >= 1, m >= 1; each
+  /// segs[l] holds m finite values; j_lo/j_hi are indexed [1, n] with
+  /// 1 <= j_lo[i] <= j_hi[i] <= m and both nondecreasing in i (the
+  /// Sakoe-Chiba geometry dtw_band_geometry yields); scratch.stride >=
+  /// max(n, m) + 1; every scratch.rows cell is +infinity on entry. The
   /// kernel restores that invariant before returning.
   void (*dtw_banded_batch)(const double* a, std::size_t n,
                            const double* const* segs, std::size_t count,

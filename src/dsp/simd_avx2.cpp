@@ -35,138 +35,6 @@ inline __m256d max_like_std(__m256d a, __m256d b) noexcept {
   return _mm256_blendv_pd(a, b, take_b);
 }
 
-// Anti-diagonal (wavefront) banded DP. Cells on a diagonal i + j = k
-// depend only on diagonals k-1 and k-2, so they are mutually
-// independent and vectorize 4-wide with NO floating-point
-// reassociation: every lane computes exactly
-//   min(min(up, ul), left) + (a[i-1] - b[j-1])^2
-// — the same single rounded add per cell as the scalar row-major
-// kernel, hence bit-identical output (simd.h documents why traversal
-// order is free). Lanes are indexed by row i: lane0/1/2 rotate through
-// the three live diagonals, lane3 accumulates per-row minima for the
-// early-abandon check, which fires for a row once its last diagonal
-// has been processed — the same ascending-row decision sequence as the
-// scalar kernel.
-double avx2_dtw_banded(const double* a, std::size_t n, const double* b,
-                       std::size_t m, const std::size_t* j_lo,
-                       const std::size_t* j_hi, double abandon_above,
-                       const DtwLanes& lanes) noexcept {
-  // Two regimes favor the row-major order; both paths satisfy the same
-  // exact-operation contract, so which one runs is invisible in the
-  // output bits.
-  //  * Small problems under a finite abandon bar: row-major stops dead
-  //    at the abandoned row, while the wavefront has already computed
-  //    up to a band-width of diagonals past it. (The matcher no longer
-  //    comes here; it scores through avx2_dtw_banded_batch.)
-  //  * Very narrow bands: the wavefront's per-diagonal interval is only
-  //    about a band-width long, so sub-vector-width intervals leave the
-  //    4-wide loop idle while doubling the loop-bookkeeping passes.
-  if (abandon_above < kInf && std::min(n, m) < 64) {
-    return detail::dtw_banded_rowmajor(a, n, b, m, j_lo, j_hi,
-                                       abandon_above, lanes);
-  }
-  bool wide_enough = false;
-  for (std::size_t i = 1; i <= n; ++i) {
-    if (j_hi[i] - j_lo[i] + 1 >= 12) {  // exits on row ~1 for wide bands
-      wide_enough = true;
-      break;
-    }
-  }
-  if (!wide_enough) {
-    return detail::dtw_banded_rowmajor(a, n, b, m, j_lo, j_hi,
-                                       abandon_above, lanes);
-  }
-  struct Diag {
-    double* ptr;
-    std::size_t lo, hi;  ///< written row-index span; empty when lo > hi
-  };
-  Diag km2{lanes.lane0, 0, 0};  // diagonal k-2; starts as {dp[0][0]}
-  Diag km1{lanes.lane1, 1, 0};  // diagonal k-1; pristine (all +inf)
-  Diag cur{lanes.lane2, 1, 0};  // diagonal k
-  double* rmin = lanes.lane3;   // per-row minimum accumulator (+inf = empty)
-  lanes.lane0[0] = 0.0;         // dp[0][0] seed
-
-  // The band columns are nondecreasing in i, so the rows intersecting a
-  // diagonal form one contiguous interval [p_min, p_max] and both ends
-  // advance monotonically with k — amortized O(1) per diagonal.
-  std::size_t p_min = 1;  // smallest i with i + j_hi[i] >= k
-  std::size_t p_max = 0;  // largest  i with i + j_lo[i] <= k
-  std::size_t rdone = 0;  // rows whose minima have been abandon-checked
-  std::size_t max_i = 0;  // high-water row: the dirty extent of rmin
-  double result = kInf;
-  bool abandoned = false;
-
-  for (std::size_t k = 2; k <= n + m; ++k) {
-    // Re-infinity the span this lane carries from two diagonals ago.
-    if (cur.lo <= cur.hi) {
-      std::fill(cur.ptr + cur.lo, cur.ptr + cur.hi + 1, kInf);
-    }
-    while (p_min <= n && p_min + j_hi[p_min] < k) ++p_min;
-    while (p_max < n && p_max + 1 + j_lo[p_max + 1] <= k) ++p_max;
-    const std::size_t i_lo = p_min;
-    const std::size_t i_hi = p_max;
-    if (i_lo <= i_hi) {
-      std::size_t i = i_lo;
-      for (; i + 3 <= i_hi; i += 4) {
-        const __m256d up = _mm256_loadu_pd(km1.ptr + i - 1);
-        const __m256d left = _mm256_loadu_pd(km1.ptr + i);
-        const __m256d ul = _mm256_loadu_pd(km2.ptr + i - 1);
-        const __m256d av = _mm256_loadu_pd(a + i - 1);
-        // b runs backwards along a diagonal (j = k - i): load the block
-        // ending at b[k - i - 1] and reverse the lanes.
-        const __m256d brev = _mm256_loadu_pd(b + (k - i - 4));
-        const __m256d bv = _mm256_permute4x64_pd(brev, 0b00011011);
-        const __m256d d = _mm256_sub_pd(av, bv);
-        const __m256d c = _mm256_mul_pd(d, d);
-        // DP cells hold only non-negative values and +inf — no signed
-        // zeros, no NaN — so plain vminpd matches std::min bit-for-bit.
-        const __m256d e = _mm256_min_pd(_mm256_min_pd(up, ul), left);
-        const __m256d v = _mm256_add_pd(e, c);
-        _mm256_storeu_pd(cur.ptr + i, v);
-        const __m256d rm = _mm256_loadu_pd(rmin + i);
-        _mm256_storeu_pd(rmin + i, _mm256_min_pd(rm, v));
-      }
-      for (; i <= i_hi; ++i) {
-        const double v =
-            detail::dtw_cell(a[i - 1], b[k - i - 1], km1.ptr[i - 1],
-                             km1.ptr[i], km2.ptr[i - 1]);
-        cur.ptr[i] = v;
-        rmin[i] = std::min(rmin[i], v);
-      }
-      cur.lo = i_lo;
-      cur.hi = i_hi;
-      max_i = std::max(max_i, i_hi);
-    } else {
-      cur.lo = 1;
-      cur.hi = 0;
-    }
-    // Abandon rows in ascending order as their last diagonal completes.
-    while (rdone < n && rdone + 1 + j_hi[rdone + 1] <= k) {
-      ++rdone;
-      if (rmin[rdone] > abandon_above) {
-        abandoned = true;
-        break;
-      }
-    }
-    if (abandoned) break;
-    if (k == n + m) result = cur.ptr[n];
-    const Diag freed = km2;
-    km2 = km1;
-    km1 = cur;
-    cur = freed;
-  }
-
-  // Restore the all-infinity lane invariant: the three live diagonal
-  // spans, the touched prefix of the row-minimum lane, and the seed.
-  const Diag live[3] = {km2, km1, cur};
-  for (const Diag& d : live) {
-    if (d.lo <= d.hi) std::fill(d.ptr + d.lo, d.ptr + d.hi + 1, kInf);
-  }
-  if (max_i >= 1) std::fill(rmin + 1, rmin + max_i + 1, kInf);
-  lanes.lane0[0] = kInf;
-  return result;
-}
-
 // Eight same-shape banded DPs in lockstep, one candidate per lane, as
 // two interleaved vectors (lanes 0-3 and 4-7). The row-major loop of
 // detail::dtw_banded_rowmajor, widened: DP cell (j, lane) lives at
@@ -176,8 +44,7 @@ double avx2_dtw_banded(const double* a, std::size_t n, const double* b,
 // Each lane computes exactly dtw_cell's sub, mul, min(min(up, ul), left)
 // and one rounded add, and tests its row minimum against the shared bar
 // after every row. DP cells hold only non-negative values and +inf (no
-// NaN, no signed zero), so vminpd matches std::min bit for bit, as in
-// the wavefront kernel.
+// NaN, no signed zero), so vminpd matches std::min bit for bit.
 void avx2_dtw_banded_batch(const double* a, std::size_t n,
                            const double* const* segs, std::size_t count,
                            std::size_t m, const std::size_t* j_lo,
@@ -405,10 +272,8 @@ void avx2_conj_products(const std::complex<double>* a,
 }
 
 constexpr KernelTable kAvx2Table{
-    Level::kAvx2,          avx2_dtw_banded,
-    avx2_dtw_banded_batch, avx2_band_lower_bound,
-    avx2_envelope_update,  avx2_subtract_offset,
-    avx2_conj_products,
+    Level::kAvx2,         avx2_dtw_banded_batch, avx2_band_lower_bound,
+    avx2_envelope_update, avx2_subtract_offset,  avx2_conj_products,
 };
 
 }  // namespace

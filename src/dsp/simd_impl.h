@@ -19,9 +19,9 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 /// One DTW DP cell: min(up, left, diag) + (ai - bj)^2. The min is exact
 /// (no rounding — association and operand order are free), the add is
 /// the single rounded operation, and `inf + finite == inf` covers
-/// unreachable predecessors. Every implementation — row-major scalar,
-/// anti-diagonal AVX2 tails — computes cells through this one helper, so
-/// the per-cell contract exists in exactly one place.
+/// unreachable predecessors. The row-major kernel computes its cells
+/// through this one helper, so the per-cell contract exists in exactly
+/// one place; the AVX2 batch replays it lane by lane.
 inline double dtw_cell(double ai, double bj, double up, double left,
                        double ul) noexcept {
   const double d = ai - bj;
@@ -30,24 +30,22 @@ inline double dtw_cell(double ai, double bj, double up, double left,
   return best + cost;
 }
 
-/// Row-major banded DP over two rolling rows (lanes 0/1; lanes 2/3 stay
-/// untouched). Each cell goes through dtw_cell, fusing the loop-carried
-/// dp[i][j-1] dependency into one pass. Span-tracked clearing keeps the
-/// per-row work O(band): only the cells a buffer's previous occupant
-/// wrote are re-infinitied before reuse, and the all-infinity lane
-/// invariant is restored on every exit path. This is both the scalar
-/// table's kernel and the AVX2 table's small-problem path (abandoning
-/// candidates at row granularity wastes no work here, whereas the
-/// anti-diagonal wavefront has computed ahead of the abandoned row).
+/// Row-major banded DP over two rolling rows `prev` and `curr`, each of
+/// at least m + 1 cells and all +infinity on entry. Each cell goes
+/// through dtw_cell, fusing the loop-carried dp[i][j-1] dependency into
+/// one pass. Span-tracked clearing keeps the per-row work O(band): only
+/// the cells a row's previous occupant wrote are re-infinitied before
+/// reuse, and both rows are all +infinity again on every exit path.
+/// This is the scalar bit contract of KernelTable::dtw_banded_batch and
+/// the kernel dsp::dtw_distance runs.
 inline double dtw_banded_rowmajor(const double* a, std::size_t n,
                                   const double* b, std::size_t m,
                                   const std::size_t* j_lo,
                                   const std::size_t* j_hi,
-                                  double abandon_above,
-                                  const DtwLanes& lanes) noexcept {
-  double* prev = lanes.lane0;
-  double* curr = lanes.lane1;
-  prev[0] = 0.0;  // dp[0][0]; all other boundary cells are already +inf
+                                  double abandon_above, double* prev,
+                                  double* curr) noexcept {
+  double* const seed = prev;  // dp[0][0]
+  *seed = 0.0;  // all other boundary cells are already +inf
 
   // Span the buffer about to be written holds from two rows ago (must
   // be re-infinitied before the kernel writes), and the span the other
@@ -64,7 +62,7 @@ inline double dtw_banded_rowmajor(const double* a, std::size_t n,
       std::fill(curr + stale_lo, curr + stale_hi + 1, kInf);
     }
     double row_min = kInf;
-    double left = curr[lo - 1];  // +inf by the lane invariant
+    double left = curr[lo - 1];  // +inf by the row invariant
     for (std::size_t j = lo; j <= hi; ++j) {
       const double v =
           dtw_cell(a[i - 1], b[j - 1], prev[j], left, prev[j - 1]);
@@ -90,13 +88,13 @@ inline double dtw_banded_rowmajor(const double* a, std::size_t n,
   if (stale_lo <= stale_hi) {
     std::fill(curr + stale_lo, curr + stale_hi + 1, kInf);
   }
-  lanes.lane0[0] = kInf;
+  *seed = kInf;
   return result;
 }
 
 /// The batched entry's bit contract (KernelTable::dtw_banded_batch): the
 /// row-major kernel once per live lane, in lane order, with the batch's
-/// one bar. The first four strides of scratch.rows serve as its lanes,
+/// one bar. The first two strides of scratch.rows serve as its rows,
 /// and each call leaves them all +infinity for the next.
 inline void dtw_banded_batch_rowmajor(const double* a, std::size_t n,
                                       const double* const* segs,
@@ -106,12 +104,10 @@ inline void dtw_banded_batch_rowmajor(const double* a, std::size_t n,
                                       double abandon_above,
                                       const DtwBatchScratch& scratch,
                                       double* out) noexcept {
-  const std::size_t s = scratch.stride;
-  const DtwLanes lanes{scratch.rows, scratch.rows + s, scratch.rows + 2 * s,
-                       scratch.rows + 3 * s, s};
   for (std::size_t l = 0; l < count; ++l) {
     out[l] = dtw_banded_rowmajor(a, n, segs[l], m, j_lo, j_hi,
-                                 abandon_above, lanes);
+                                 abandon_above, scratch.rows,
+                                 scratch.rows + scratch.stride);
   }
 }
 

@@ -212,23 +212,10 @@ TEST(DtwFullDpProperty, UnbandedKernelMatchesReference) {
   }
 }
 
-TEST(DtwTest, BufferedVariantIsBitIdentical) {
-  const auto a = random_series(31, 7);
-  const auto b = random_series(44, 8);
-  DtwOptions opt;
-  opt.band_fraction = 0.25;
-  DtwBuffers buffers;
-  EXPECT_EQ(dtw_distance_buffered(a, b, opt, buffers),
-            dtw_distance(a, b, opt));
-  // Reused (dirty) buffers must not change the result.
-  EXPECT_EQ(dtw_distance_buffered(b, a, opt, buffers),
-            dtw_distance(b, a, opt));
-}
-
 // The pre-fix banded kernel: full-row std::fill per DP row, three-way
-// min-then-add per cell. The span-clearing kernels (scalar row-major
-// and AVX2 anti-diagonal alike) must reproduce it bit-for-bit — this is
-// the regression gate for the "clear only written spans" fix.
+// min-then-add per cell. The span-clearing row-major kernel behind
+// dtw_distance must reproduce it bit-for-bit — this is the regression
+// gate for the "clear only written spans" fix.
 double banded_reference(const std::vector<double>& a,
                         const std::vector<double>& b,
                         const DtwOptions& options) {
@@ -264,10 +251,11 @@ double banded_reference(const std::vector<double>& a,
 // Property: the span-clearing kernel matches the historical full-clear
 // kernel exactly, across band widths, shapes, and dirty buffer reuse
 // (shrinking m after a wider problem is what exposes stale cells).
+// dtw_distance's thread_local rows are shared by every call below, so
+// each case runs on the rows the previous one left behind.
 TEST(DtwBandedClearProperty, SpanClearingMatchesFullClearReference) {
   const std::size_t sizes[][2] = {{1, 1},  {1, 17}, {17, 1},  {2, 2},
                                   {40, 8}, {8, 40}, {64, 64}, {80, 30}};
-  DtwBuffers buffers;  // shared across ALL cases: stale spans everywhere
   for (const double frac : {0.0, 0.05, 0.3, 1.0}) {
     DtwOptions opt;
     opt.band_fraction = frac;
@@ -275,8 +263,7 @@ TEST(DtwBandedClearProperty, SpanClearingMatchesFullClearReference) {
       for (std::uint32_t seed = 1; seed <= 3; ++seed) {
         const auto a = random_series(s[0], seed);
         const auto b = random_series(s[1], seed + 100);
-        EXPECT_EQ(dtw_distance_buffered(a, b, opt, buffers),
-                  banded_reference(a, b, opt))
+        EXPECT_EQ(dtw_distance(a, b, opt), banded_reference(a, b, opt))
             << "frac=" << frac << " n=" << s[0] << " m=" << s[1]
             << " seed=" << seed;
       }
@@ -284,8 +271,9 @@ TEST(DtwBandedClearProperty, SpanClearingMatchesFullClearReference) {
   }
 }
 
-// Abandoning mid-way leaves buffers dirty in a different pattern than a
-// completed run; the next call must still be exact.
+// Abandoning mid-way leaves the shared rows dirty in a different pattern
+// than a completed run; the next call on the same thread must still be
+// exact.
 TEST(DtwBandedClearProperty, AbandonedRunDoesNotPoisonBuffers) {
   const auto a = random_series(48, 3);
   auto far = a;
@@ -293,13 +281,11 @@ TEST(DtwBandedClearProperty, AbandonedRunDoesNotPoisonBuffers) {
   DtwOptions opt;
   opt.band_fraction = 0.1;
   opt.abandon_above = 1.0;
-  DtwBuffers buffers;
-  EXPECT_EQ(dtw_distance_buffered(a, far, opt, buffers), kInf);
+  EXPECT_EQ(dtw_distance(a, far, opt), kInf);
   DtwOptions open;
   open.band_fraction = 0.1;
   const auto b = random_series(32, 4);
-  EXPECT_EQ(dtw_distance_buffered(a, b, open, buffers),
-            banded_reference(a, b, open));
+  EXPECT_EQ(dtw_distance(a, b, open), banded_reference(a, b, open));
 }
 
 TEST(DtwTest, LengthOneAgainstLongerSumsAllCosts) {

@@ -58,175 +58,116 @@ class SimdKernelsAvx2Test : public ::testing::Test {
   const simd::KernelTable& scalar_ = simd::scalar_kernels();
 };
 
-// The DTW kernel is exercised at whole-evaluation granularity, through
-// the same wrapper production uses: the scalar table rolls DP rows, the
-// AVX2 table walks anti-diagonals, and both must return the same bits
-// for every (shape, band, abandon) combination.
-TEST_F(SimdKernelsAvx2Test, DtwBandedMatchesScalarBitwise) {
-  struct Shape {
-    std::size_t n, m;
-  };
-  const Shape shapes[] = {{1, 1},  {1, 9},   {9, 1},  {4, 4},  {5, 23},
-                          {23, 5}, {21, 21}, {42, 37}, {84, 84}};
-  const double fracs[] = {0.05, 0.3, 1.0};
-  for (const auto& s : shapes) {
-    for (const double frac : fracs) {
-      for (std::uint32_t seed = 1; seed <= 4; ++seed) {
-        const auto a = random_values(s.n, seed);
-        const auto b = random_values(s.m, seed + 100);
-        DtwOptions options;
-        options.band_fraction = frac;
-        double abandons[3] = {kInf, 0.0, 0.0};
-        {
-          simd::ForcedKernels forced(scalar_);
-          const double open = dtw_distance(a, b, options);
-          // A threshold just below / far below the answer exercises the
-          // abandon path; row minima are <= the final distance, so
-          // open/2 abandons somewhere in the middle for most inputs.
-          abandons[1] = std::isfinite(open) ? open / 2.0 : 1.0;
-          abandons[2] = 0.25;
-        }
-        for (const double ab : abandons) {
-          options.abandon_above = ab;
-          double ds = 0.0;
-          double da = 0.0;
-          {
-            simd::ForcedKernels forced(scalar_);
-            ds = dtw_distance(a, b, options);
-          }
-          {
-            simd::ForcedKernels forced(*avx2_);
-            da = dtw_distance(a, b, options);
-          }
-          EXPECT_SAME_BITS(ds, da)
-              << "n=" << s.n << " m=" << s.m << " frac=" << frac
-              << " abandon=" << ab << " seed=" << seed;
-        }
-      }
-    }
-  }
-}
-
-// Scalar and AVX2 evaluations interleaved over ONE shared scratch: each
-// kernel dirties the lanes in a completely different pattern (rolling
-// rows vs rolling anti-diagonals), so this fails if either one breaks
-// the all-infinity lane invariant it must restore before returning.
-TEST_F(SimdKernelsAvx2Test, DtwBandedInterleavedTablesShareBuffers) {
-  DtwBuffers shared;
-  DtwBuffers fresh_scalar;
-  const std::size_t sizes[] = {33, 7, 84, 1, 21, 12, 60};
-  DtwOptions options;
-  options.band_fraction = 0.3;
-  std::uint32_t seed = 500;
-  for (std::size_t idx = 0; idx + 1 < std::size(sizes); ++idx) {
-    const auto a = random_values(sizes[idx], ++seed);
-    const auto b = random_values(sizes[idx + 1], ++seed);
-    options.abandon_above = (idx % 3 == 2) ? 0.5 : kInf;
-    const simd::KernelTable& table = (idx % 2 == 0) ? *avx2_ : scalar_;
-    simd::ForcedKernels forced(table);
-    const double got = dtw_distance_buffered(a, b, options, shared);
-    double want = 0.0;
-    {
-      simd::ForcedKernels rescue(scalar_);
-      want = dtw_distance_buffered(a, b, options, fresh_scalar);
-    }
-    EXPECT_SAME_BITS(got, want) << "idx=" << idx;
-  }
-}
-
 // The matcher's batched entry: both tables' dtw_banded_batch must agree
 // by memcmp, and every live lane must equal a lone row-major DTW of its
 // segment under the batch's bar, for every shape, band, bar regime and
 // live-lane count (1 to kDtwBatchLanes, so both AVX2 vectors run
-// partial). One scratch serves every call of both tables, so a
-// kernel that leaves a dirty row cell behind corrupts a later batch.
+// partial). The shapes are an n 2-48 x m 2-64 sweep plus edge shapes: a
+// length-1 side, and long problems whose narrowest band is a few cells.
+// One scratch serves every call of both tables, so a kernel that leaves
+// a dirty row cell behind corrupts a later batch.
 TEST_F(SimdKernelsAvx2Test, DtwLanesMatchScalarBitwise) {
   constexpr std::size_t kLanes = simd::kDtwBatchLanes;
   constexpr double kUntouched = -7.0;
   DtwBatchBuffers shared;
-  DtwBuffers lone;
+  // Rows for the lone row-major runs; the kernel leaves them +infinity.
+  std::vector<double> lone_prev;
+  std::vector<double> lone_curr;
   std::vector<std::size_t> j_lo;
   std::vector<std::size_t> j_hi;
-  const double fracs[] = {0.1, 0.25, 1.0};
   std::uint32_t seed = 9000;
-  for (std::size_t n = 2; n <= 48; ++n) {
-    for (std::size_t m = 2; m <= 64; ++m) {
-      const auto a = random_values(n, ++seed);
-      std::vector<double> segs[kLanes];
+  const auto check = [&](std::size_t n, std::size_t m, double frac) {
+    const auto a = random_values(n, ++seed);
+    std::vector<double> segs[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      segs[l] = random_values(m, seed * 8 + static_cast<std::uint32_t>(l));
+    }
+    // Lane 0 sits far above the query, so its first row already exceeds
+    // any bar the other lanes survive.
+    std::vector<double> far = segs[0];
+    for (double& v : far) v += 1000.0;
+    DtwOptions options;
+    options.band_fraction = frac;
+    j_lo.assign(n + 1, 0);
+    j_hi.assign(n + 1, 0);
+    dtw_band_geometry(n, m, dtw_band_cells(options, n, m), j_lo.data(),
+                      j_hi.data());
+    if (lone_prev.size() < m + 1) {
+      lone_prev.resize(m + 1, kInf);
+      lone_curr.resize(m + 1, kInf);
+    }
+    shared.reset(n, m);
+    const auto solo = [&](const std::vector<double>& seg, double bar) {
+      return simd::detail::dtw_banded_rowmajor(
+          a.data(), n, seg.data(), m, j_lo.data(), j_hi.data(), bar,
+          lone_prev.data(), lone_curr.data());
+    };
+    double open[kLanes];
+    for (std::size_t l = 0; l < kLanes; ++l) open[l] = solo(segs[l], kInf);
+    struct Regime {
+      const char* name;
+      bool far_lane0;
+      double bar;
+    };
+    const Regime regimes[] = {
+        {"inf", false, kInf},
+        // Lane 2 finishes exactly at the bar; lanes whose distance
+        // exceeds it die part-way.
+        {"finite", false, open[2]},
+        {"lane0_dead_row1", true, *std::max_element(open + 1, open + kLanes)},
+        {"all_dead", false, 1e-9},
+    };
+    for (const Regime& r : regimes) {
+      const double* ptrs[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = segs[l].data();
+      if (r.far_lane0) ptrs[0] = far.data();
+      double want[kLanes];
       for (std::size_t l = 0; l < kLanes; ++l) {
-        segs[l] = random_values(m, seed * 8 + static_cast<std::uint32_t>(l));
+        want[l] = solo(l == 0 && r.far_lane0 ? far : segs[l], r.bar);
       }
-      // Lane 0 sits far above the query, so its first row already
-      // exceeds any bar the other lanes survive.
-      std::vector<double> far = segs[0];
-      for (double& v : far) v += 1000.0;
-      for (const double frac : fracs) {
-        DtwOptions options;
-        options.band_fraction = frac;
-        j_lo.assign(n + 1, 0);
-        j_hi.assign(n + 1, 0);
-        dtw_band_geometry(n, m, dtw_band_cells(options, n, m), j_lo.data(),
-                          j_hi.data());
-        lone.reset(n, m);
-        shared.reset(n, m);
-        const auto solo = [&](const std::vector<double>& seg, double bar) {
-          return simd::detail::dtw_banded_rowmajor(
-              a.data(), n, seg.data(), m, j_lo.data(), j_hi.data(), bar,
-              lone.lanes());
-        };
-        double open[kLanes];
-        for (std::size_t l = 0; l < kLanes; ++l) open[l] = solo(segs[l], kInf);
-        struct Regime {
-          const char* name;
-          bool far_lane0;
-          double bar;
-        };
-        const Regime regimes[] = {
-            {"inf", false, kInf},
-            // Lane 2 finishes exactly at the bar; lanes whose distance
-            // exceeds it die part-way.
-            {"finite", false, open[2]},
-            {"lane0_dead_row1", true,
-             *std::max_element(open + 1, open + kLanes)},
-            {"all_dead", false, 1e-9},
-        };
-        for (const Regime& r : regimes) {
-          const double* ptrs[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) ptrs[l] = segs[l].data();
-          if (r.far_lane0) ptrs[0] = far.data();
-          double want[kLanes];
-          for (std::size_t l = 0; l < kLanes; ++l) {
-            want[l] = solo(l == 0 && r.far_lane0 ? far : segs[l], r.bar);
-          }
-          if (r.far_lane0) {
-            ASSERT_EQ(want[0], kInf);
-            ASSERT_TRUE(std::isfinite(want[1]));
-          }
-          for (std::size_t count = 1; count <= kLanes; ++count) {
-            double got_scalar[kLanes];
-            double got_avx2[kLanes];
-            std::fill(std::begin(got_scalar), std::end(got_scalar),
-                      kUntouched);
-            std::fill(std::begin(got_avx2), std::end(got_avx2), kUntouched);
-            scalar_.dtw_banded_batch(a.data(), n, ptrs, count, m,
-                                     j_lo.data(), j_hi.data(), r.bar,
-                                     shared.scratch(), got_scalar);
-            avx2_->dtw_banded_batch(a.data(), n, ptrs, count, m, j_lo.data(),
-                                    j_hi.data(), r.bar, shared.scratch(),
-                                    got_avx2);
-            ASSERT_TRUE(memcmp_equal(got_scalar, got_avx2, kLanes))
-                << "n=" << n << " m=" << m << " frac=" << frac
-                << " bar=" << r.name << " count=" << count;
-            for (std::size_t l = 0; l < kLanes; ++l) {
-              const double expect = l < count ? want[l] : kUntouched;
-              ASSERT_PRED_FORMAT2(SameBits, got_avx2[l], expect)
-                  << "n=" << n << " m=" << m << " frac=" << frac
-                  << " bar=" << r.name << " count=" << count
-                  << " lane=" << l;
-            }
-          }
+      if (r.far_lane0) {
+        ASSERT_EQ(want[0], kInf);
+        ASSERT_TRUE(std::isfinite(want[1]));
+      }
+      for (std::size_t count = 1; count <= kLanes; ++count) {
+        double got_scalar[kLanes];
+        double got_avx2[kLanes];
+        std::fill(std::begin(got_scalar), std::end(got_scalar), kUntouched);
+        std::fill(std::begin(got_avx2), std::end(got_avx2), kUntouched);
+        scalar_.dtw_banded_batch(a.data(), n, ptrs, count, m, j_lo.data(),
+                                 j_hi.data(), r.bar, shared.scratch(),
+                                 got_scalar);
+        avx2_->dtw_banded_batch(a.data(), n, ptrs, count, m, j_lo.data(),
+                                j_hi.data(), r.bar, shared.scratch(),
+                                got_avx2);
+        ASSERT_TRUE(memcmp_equal(got_scalar, got_avx2, kLanes))
+            << "n=" << n << " m=" << m << " frac=" << frac
+            << " bar=" << r.name << " count=" << count;
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const double expect = l < count ? want[l] : kUntouched;
+          ASSERT_PRED_FORMAT2(SameBits, got_avx2[l], expect)
+              << "n=" << n << " m=" << m << " frac=" << frac
+              << " bar=" << r.name << " count=" << count << " lane=" << l;
         }
       }
+    }
+  };
+  for (std::size_t n = 2; n <= 48; ++n) {
+    for (std::size_t m = 2; m <= 64; ++m) {
+      for (const double frac : {0.1, 0.25, 1.0}) {
+        check(n, m, frac);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  struct Shape {
+    std::size_t n, m;
+  };
+  const Shape edges[] = {{1, 1}, {1, 9}, {9, 1}, {84, 84}, {128, 200}};
+  for (const Shape& s : edges) {
+    for (const double frac : {0.05, 0.1, 0.25, 1.0}) {
+      check(s.n, s.m, frac);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -93,6 +93,11 @@ int track(const std::string& prefix, double window_ms) {
                  prefix.c_str());
     return 1;
   }
+  if (csi->empty()) {
+    std::fprintf(stderr, "error: %s.csi holds no CSI frames\n",
+                 prefix.c_str());
+    return 1;
+  }
   // Truth file: "t,theta" rows after the header with the seed.
   util::TimeSeries truth;
   std::uint64_t seed = 0;
@@ -104,7 +109,18 @@ int track(const std::string& prefix, double window_ms) {
       return 1;
     }
     const auto pos = header.find("seed=");
-    if (pos != std::string::npos) seed = std::stoull(header.substr(pos + 5));
+    if (pos != std::string::npos) {
+      // The seed runs to the next blank (or the end of the line).
+      const std::size_t from = pos + 5;
+      const std::string value =
+          header.substr(from, header.find_first_of(" \t\r", from) - from);
+      if (!util::parse_number<std::uint64_t>(value.c_str(), 0, UINT64_MAX,
+                                             &seed)) {
+        std::fprintf(stderr, "error: bad seed in %s.truth header: %s\n",
+                     prefix.c_str(), value.c_str());
+        return 1;
+      }
+    }
     double t = 0.0;
     double theta = 0.0;
     char comma = 0;
