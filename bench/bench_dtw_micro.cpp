@@ -159,11 +159,10 @@ BENCHMARK(BM_DtwDistanceBandedNarrow)
 
 // The full Algorithm-1 inner loop: one orientation estimate against a
 // 10 s / 200 Hz profile — the per-estimate cost of the live tracker.
-// Three A/B variants pin the fast-path speedup down (all three return
+// Two A/B variants pin the fast-path speedup down (both return
 // bit-identical matches, proven by the matcher-equivalence tests):
 //   * Naive     — find_best_match_reference: no pruning, no workspace,
-//                 per-candidate allocations (the historical scan);
-//   * NoPruning — workspace reuse only, every candidate runs full DTW;
+//                 per-candidate allocations, scalar DTW;
 //   * (default) — workspace + lower-bound cascade + early abandoning,
 //                 measured under both kernel tables (simd arg).
 dsp::SeriesMatchOptions series_match_options() {
@@ -213,27 +212,6 @@ void BM_SeriesMatch(benchmark::State& state) {
                  std::to_string(s.candidates) + " candidates");
 }
 BENCHMARK(BM_SeriesMatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
-
-void BM_SeriesMatchNoPruning(benchmark::State& state) {
-  const auto* table = table_for(state.range(0));
-  if (table == nullptr) {
-    state.SkipWithError("AVX2 kernels unavailable on this host/build");
-    return;
-  }
-  const dsp::simd::ForcedKernels forced(*table);
-  const auto profile = noisy_sine(2000, 30.0, 4);
-  const auto query = profile_slice_query(profile, 700, 21);
-  dsp::SeriesMatchOptions opt = series_match_options();
-  opt.use_lower_bound = false;
-  opt.use_band_lower_bound = false;
-  opt.use_early_abandon = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dsp::find_best_match(query, profile, opt));
-  }
-  state.SetLabel("workspace reuse only, pruning off (" +
-                 level_label(*table) + ")");
-}
-BENCHMARK(BM_SeriesMatchNoPruning)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
 void BM_SeriesMatchNaive(benchmark::State& state) {
   const auto profile = noisy_sine(2000, 30.0, 4);

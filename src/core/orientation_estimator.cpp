@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "dsp/resampler.h"
 
@@ -46,23 +47,26 @@ OrientationEstimate OrientationEstimator::estimate(
   opt.dtw.band_fraction = config_.band_fraction;
   opt.max_dc_offset = config_.max_dc_offset_rad;
   const std::vector<double>& theta = position.orientation.values;
-  if (context.hard_hint != nullptr) {
-    const double center = context.hard_hint->theta_rad;
-    const double dev = context.hard_hint->max_dev_rad;
-    opt.candidate_filter = [&theta, center, dev](std::size_t start,
-                                                 std::size_t length) {
-      const double end_theta = theta[start + length - 1];
-      return std::abs(end_theta - center) <= dev;
-    };
-  }
-  if (context.soft_weight > 0.0) {
-    const double center = context.soft_theta_rad;
-    const double w = context.soft_weight;
-    opt.score_bias = [&theta, center, w](std::size_t start,
-                                         std::size_t length) {
-      const double dev = theta[start + length - 1] - center;
-      return w * dev * dev;
-    };
+  // Continuity hint as a per-end-index penalty over the profile: the
+  // matched segment's last sample carries the orientation estimate, so
+  // only that sample's theta decides whether (hard hint) and how much
+  // (soft prior) a candidate is held back.
+  if (context.hard_hint != nullptr || context.soft_weight > 0.0) {
+    thread_local std::vector<double> penalty;
+    penalty.resize(theta.size());
+    for (std::size_t e = 0; e < theta.size(); ++e) {
+      double p = 0.0;
+      if (context.hard_hint != nullptr &&
+          !(std::abs(theta[e] - context.hard_hint->theta_rad) <=
+            context.hard_hint->max_dev_rad)) {
+        p = std::numeric_limits<double>::infinity();
+      } else if (context.soft_weight > 0.0) {
+        const double dev = theta[e] - context.soft_theta_rad;
+        p = context.soft_weight * dev * dev;
+      }
+      penalty[e] = p;
+    }
+    opt.end_penalty = penalty;
   }
   const dsp::SeriesMatch match =
       dsp::find_best_match(query.values, position.csi.values, opt);

@@ -57,6 +57,15 @@ struct CsiProfile {
 
   /// Re-expresses a raw sanitized phase relative to the anchor.
   [[nodiscard]] double relative_phase(double raw_phase) const noexcept;
+
+  /// The shape every consumer indexes by: in every position, the
+  /// orientation series has one sample per CSI sample (the matcher reads
+  /// theta at a CSI match index), both series have a finite grid step
+  /// dt > 0 (the estimator sizes its query as window / dt), and every
+  /// stored double is finite. The profile decoders reject a profile
+  /// that breaks it, so a hostile log or open-session frame cannot
+  /// crash the tracker.
+  [[nodiscard]] bool well_formed() const noexcept;
 };
 
 }  // namespace vihot::core

@@ -113,7 +113,10 @@ std::optional<CsiProfile> load_profile(const std::string& path) {
     }
     profile.positions.push_back(std::move(p));
   }
-  if (profile.positions.size() != expected_positions) return std::nullopt;
+  if (profile.positions.size() != expected_positions ||
+      !profile.well_formed()) {
+    return std::nullopt;
+  }
   return profile;
 }
 

@@ -21,8 +21,8 @@ namespace vihot::core {
 /// Writes a profile; returns false on I/O failure.
 bool save_profile(const std::string& path, const CsiProfile& profile);
 
-/// Reads a profile; std::nullopt on missing file, bad header, or
-/// malformed rows.
+/// Reads a profile; std::nullopt on missing file, bad header, malformed
+/// rows, or a profile that is not CsiProfile::well_formed().
 [[nodiscard]] std::optional<CsiProfile> load_profile(
     const std::string& path);
 

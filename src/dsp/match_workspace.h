@@ -26,7 +26,7 @@
 namespace vihot::dsp {
 
 /// One surviving candidate of a segment scan: distance is the normalized
-/// DTW distance, score is distance + the candidate's score_bias.
+/// DTW distance, score is distance + the end_penalty at its last sample.
 struct MatchHit {
   std::size_t start = 0;
   std::size_t length = 0;
@@ -99,7 +99,6 @@ class MatchWorkspace {
   // Per-scan scratch. Members are cleared/overwritten by the scan; they
   // are public because the scan loop in series_match.cpp is the only
   // intended writer.
-  simd::AlignedVector query_eff;  ///< mean-centered query (when enabled)
   simd::AlignedVector env_lo;     ///< per-column query envelope minimum
   simd::AlignedVector env_hi;     ///< per-column query envelope maximum
   DtwBatchBuffers batch;          ///< lane-batched DTW scratch

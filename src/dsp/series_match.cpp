@@ -22,7 +22,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // what makes the pruned scan bit-identical to the unpruned one.
 constexpr double kBarSlack = 1.0 + 1e-12;
 
-double raw_mean(std::span<const double> xs) noexcept {
+double mean(std::span<const double> xs) noexcept {
   double sum = 0.0;
   for (const double v : xs) sum += v;
   return sum / static_cast<double>(xs.size());
@@ -55,34 +55,24 @@ bool overlaps(std::size_t a_start, std::size_t a_len, std::size_t b_start,
   return a_start < b_start + b_len && b_start < a_start + a_len;
 }
 
-// The DC shift applied to the SEGMENT side before DTW (the query side is
-// at most mean-centered, once per scan). Folding the whole adjustment
-// into the segment keeps the query fixed, which is what lets the query
-// band envelope be computed once per candidate length. Derived from RAW
-// means on both sides, so the max_dc_offset tolerance keeps its meaning
-// when mean_center is on (the historical bug computed the delta from
-// already-centered series, making it always ~0):
+// The DC shift applied to the SEGMENT side before DTW: the level gap
+// between the two means is absorbed up to the max_dc_offset cap. Folding
+// the adjustment into the segment keeps the query fixed, which is what
+// lets the query band envelope be computed once per candidate length:
 //
-//   cost term = q_eff[i] - (s[j] - shift)
-//
-//   mean_center on:  full centering when |smean - qmean| <= cap, with
-//                    the residual beyond the cap left in the cost;
-//   mean_center off: the level gap is absorbed up to the cap, exactly
-//                    the historical "shift the query by clamp(delta)".
-double seg_shift(const SeriesMatchOptions& opt, double qmean_raw,
-                 double smean_raw) noexcept {
-  if (opt.mean_center) {
-    if (opt.max_dc_offset > 0.0) {
-      return qmean_raw + std::clamp(smean_raw - qmean_raw,
-                                    -opt.max_dc_offset, opt.max_dc_offset);
-    }
-    return smean_raw;
-  }
+//   cost term = q[i] - (s[j] - shift)
+double seg_shift(const SeriesMatchOptions& opt, double qmean,
+                 double smean) noexcept {
   if (opt.max_dc_offset > 0.0) {
-    return std::clamp(smean_raw - qmean_raw, -opt.max_dc_offset,
-                      opt.max_dc_offset);
+    return std::clamp(smean - qmean, -opt.max_dc_offset, opt.max_dc_offset);
   }
   return 0.0;
+}
+
+// A non-empty end_penalty must cover the reference index for index.
+bool penalty_fits(const SeriesMatchOptions& opt,
+                  std::span<const double> reference) noexcept {
+  return opt.end_penalty.empty() || opt.end_penalty.size() == reference.size();
 }
 
 // Normalized-distance retention bar: hits beyond it are filtered from
@@ -98,10 +88,10 @@ double retention_bar(const SeriesMatchOptions& opt,
 // Everything a per-length scan needs, shared across the lengths of one
 // call.
 struct ScanContext {
-  std::span<const double> query;      ///< effective query (centered once)
+  std::span<const double> query;
   std::span<const double> reference;
   const SeriesMatchOptions* opt = nullptr;
-  double qmean_raw = 0.0;
+  double qmean = 0.0;
   std::size_t stride = 1;
   /// Running best score over the scan so far. It only ever decreases
   /// toward the final best, so any bar derived from it is >= the final
@@ -114,12 +104,12 @@ struct ScanContext {
 // `ws.hits` and `stats`. `ws` is bound to ctx.reference and supplies the
 // segment sums and the per-batch buffers.
 //
-// Candidates are scored in batches of up to kDtwBatchLanes: the
-// survivors of the filter and the lower-bound cascade are gathered, then
-// one dtw_banded_batch call scores them all. Every start offset of the
-// length shares the query, the segment length and so the band geometry,
-// and the pruning bar is read once per batch, before the gather, so a
-// batch needs one geometry and one abandon bar. The bar a batch reads is
+// Candidates are scored in batches of up to kDtwBatchLanes: those that
+// neither an infinite end_penalty excludes nor the lower-bound cascade
+// prunes are gathered, then one dtw_banded_batch call scores them all.
+// Every start offset of the length shares the query, the segment length
+// and so the band geometry, and the pruning bar is read once per batch,
+// before the gather, so a batch needs one geometry and one abandon bar. The bar a batch reads is
 // never below the per-candidate bar it replaces (the running best only
 // falls), so batching moves candidates between funnel buckets but never
 // prunes one the final retention filter would keep (DESIGN.md §5j).
@@ -149,29 +139,28 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
 
     std::size_t lane_start[kLanes];
     const double* lane_seg[kLanes];
+    double lane_penalty[kLanes];
     std::size_t count = 0;
     for (; count < kLanes && start + len <= reference.size();
          start += ctx.stride) {
-      if (opt.candidate_filter && !opt.candidate_filter(start, len)) {
-        continue;
-      }
+      const double pen =
+          opt.end_penalty.empty() ? 0.0 : opt.end_penalty[start + len - 1];
+      if (pen == kInf) continue;
       ++stats.candidates;
 
-      const double smean_raw =
+      const double smean =
           ws.segment_sum(start, len) / static_cast<double>(len);
-      const double shift = seg_shift(opt, ctx.qmean_raw, smean_raw);
+      const double shift = seg_shift(opt, ctx.qmean, smean);
 
       // Lower-bound cascade, cheapest first. Stage 1: endpoints align in
       // every warp path (O(1)) — the shared dtw_endpoint_bound, the same
       // implementation dtw_lower_bound exposes.
-      if (opt.use_lower_bound) {
-        const double lb_end = dtw_endpoint_bound(
-            q.front(), q.back(), reference[start] - shift,
-            reference[start + len - 1] - shift, /*singleton=*/false);
-        if (lb_end > stop_raw) {
-          ++stats.lb_endpoint_pruned;
-          continue;
-        }
+      const double lb_end = dtw_endpoint_bound(
+          q.front(), q.back(), reference[start] - shift,
+          reference[start + len - 1] - shift, /*singleton=*/false);
+      if (lb_end > stop_raw) {
+        ++stats.lb_endpoint_pruned;
+        continue;
       }
 
       // Effective segment for the kernel. shift == 0.0 is the common
@@ -185,7 +174,7 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
       }
 
       // Stage 2: band-envelope bound (O(len), early-exiting).
-      if (opt.use_band_lower_bound && stop_raw < kInf) {
+      if (stop_raw < kInf) {
         if (!envelope_ready) {
           build_envelope(q, len, opt.dtw, ws.env_lo, ws.env_hi);
           envelope_ready = true;
@@ -199,6 +188,7 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
       }
       lane_start[count] = start;
       lane_seg[count] = seg;
+      lane_penalty[count] = pen;
       ++count;
     }
     if (count == 0) break;
@@ -207,15 +197,13 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
     // proves its candidate beyond the bar (row minima only grow along
     // the DP).
     const double abandon_above =
-        (opt.use_early_abandon && stop_raw < opt.dtw.abandon_above)
-            ? stop_raw
-            : opt.dtw.abandon_above;
+        stop_raw < opt.dtw.abandon_above ? stop_raw : opt.dtw.abandon_above;
     double d_raw[kLanes];
     kernels.dtw_banded_batch(q.data(), q.size(), lane_seg, count, len,
                              batch.j_lo(), batch.j_hi(), abandon_above,
                              batch.scratch(), d_raw);
 
-    // Hits land in start order, each scored and biased in scan order.
+    // Hits land in start order, each scored and penalized in scan order.
     for (std::size_t l = 0; l < count; ++l) {
       if (d_raw[l] == kInf) {
         ++stats.dtw_abandoned;
@@ -223,9 +211,7 @@ void scan_length(ScanContext& ctx, std::size_t len, MatchWorkspace& ws,
       }
       ++stats.dtw_evaluated;
       const double d = d_raw[l] / scale;
-      const double bias =
-          opt.score_bias ? opt.score_bias(lane_start[l], len) : 0.0;
-      const double score = d + bias;
+      const double score = d + lane_penalty[l];
       ws.hits.push_back({lane_start[l], len, d, score});
       ctx.best_score = std::min(ctx.best_score, score);
     }
@@ -342,24 +328,16 @@ SeriesMatch find_best_match(std::span<const double> query,
                             const SeriesMatchOptions& options,
                             MatchWorkspace& workspace) {
   if (query.size() < 2 || reference.size() < 2) return SeriesMatch{};
+  if (!penalty_fits(options, reference)) return SeriesMatch{};
   const auto lengths = candidate_lengths(query.size(), options);
   if (lengths.empty()) return SeriesMatch{};
 
   workspace.bind(reference);
-  const double qmean_raw = raw_mean(query);
-  std::span<const double> q = query;
-  if (options.mean_center) {
-    workspace.query_eff.resize(query.size());
-    simd::active().subtract_offset(query.data(), qmean_raw,
-                                   workspace.query_eff.data(), query.size());
-    q = workspace.query_eff;
-  }
-
   ScanContext ctx;
-  ctx.query = q;
+  ctx.query = query;
   ctx.reference = reference;
   ctx.opt = &options;
-  ctx.qmean_raw = qmean_raw;
+  ctx.qmean = mean(query);
   ctx.stride = std::max<std::size_t>(options.start_stride, 1);
 
   SeriesMatchStats stats;
@@ -382,6 +360,7 @@ SeriesMatch find_best_match_reference(std::span<const double> query,
                                       const SeriesMatchOptions& options) {
   SeriesMatch best;
   if (query.size() < 2 || reference.size() < 2) return best;
+  if (!penalty_fits(options, reference)) return best;
   const auto lengths = candidate_lengths(query.size(), options);
   if (lengths.empty()) return best;
 
@@ -389,47 +368,36 @@ SeriesMatch find_best_match_reference(std::span<const double> query,
   // so both feed the kernel bit-identical inputs.
   std::vector<double> prefix;
   build_prefix_sums(reference, prefix);
-  const double qmean_raw = raw_mean(query);
-  std::vector<double> query_c;
-  std::span<const double> q = query;
-  if (options.mean_center) {
-    query_c.resize(query.size());
-    for (std::size_t i = 0; i < query.size(); ++i) {
-      query_c[i] = query[i] - qmean_raw;
-    }
-    q = query_c;
-  }
+  const double qmean = mean(query);
 
   const std::size_t stride = std::max<std::size_t>(options.start_stride, 1);
   std::vector<MatchHit> hits;
   SeriesMatchStats stats;
   for (const std::size_t len : lengths) {
     if (len > reference.size()) continue;
-    const double scale = static_cast<double>(q.size() + len);
+    const double scale = static_cast<double>(query.size() + len);
     for (std::size_t start = 0; start + len <= reference.size();
          start += stride) {
-      if (options.candidate_filter &&
-          !options.candidate_filter(start, len)) {
-        continue;
-      }
+      const double pen =
+          options.end_penalty.empty() ? 0.0
+                                      : options.end_penalty[start + len - 1];
+      if (pen == kInf) continue;
       ++stats.candidates;
-      const double smean_raw =
+      const double smean =
           (prefix[start + len] - prefix[start]) / static_cast<double>(len);
-      const double shift = seg_shift(options, qmean_raw, smean_raw);
+      const double shift = seg_shift(options, qmean, smean);
       std::vector<double> seg(len);
       for (std::size_t j = 0; j < len; ++j) {
         seg[j] = reference[start + j] - shift;
       }
-      const double d_raw = dtw_distance(q, seg, options.dtw);
+      const double d_raw = dtw_distance(query, seg, options.dtw);
       if (d_raw == kInf) {
         ++stats.dtw_abandoned;
         continue;
       }
       ++stats.dtw_evaluated;
       const double d = d_raw / scale;
-      const double bias =
-          options.score_bias ? options.score_bias(start, len) : 0.0;
-      hits.push_back({start, len, d, d + bias});
+      hits.push_back({start, len, d, d + pen});
     }
   }
   return finalize_scan(hits, options, stats);

@@ -7,21 +7,23 @@
 //   return the segment with minimum d
 //
 // The search is exhaustive over a configurable stride grid. The fast path
-// prunes candidates through a cascaded lower-bound chain (endpoint bound,
-// then a band-envelope bound) and abandons hopeless DTW evaluations early
-// — while returning bit-identical best/runner-up/top-K results to the
-// unpruned scan (see DESIGN.md "Matcher pruning invariants"): pruning
-// only ever removes candidates that the retention bar
+// always prunes candidates through a cascaded lower-bound chain (endpoint
+// bound, then a band-envelope bound) and abandons hopeless DTW
+// evaluations early — while returning bit-identical best/runner-up/top-K
+// results to the unpruned find_best_match_reference (see DESIGN.md
+// "Matcher pruning invariants"): pruning only ever removes candidates
+// that the retention bar
 //
 //   distance <= runner_up_slack * best_score + runner_up_slack_abs
 //
 // would discard from the report anyway, and the winner always clears
-// that bar.
+// that bar. The options are plain data; the only per-candidate input
+// beyond the two series is end_penalty, indexed by the candidate's last
+// sample.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -45,39 +47,22 @@ struct SeriesMatchOptions {
   /// Start-offset stride in reference samples; 1 is exhaustive.
   std::size_t start_stride = 2;
 
-  /// Subtract each side's mean before comparing. Off by default: the
-  /// absolute phase level carries head-position information.
-  bool mean_center = false;
-
   /// Tolerated DC offset between query and candidate (same units as the
-  /// series), computed from the RAW means of both sides — so it keeps its
-  /// meaning when mean_center is on. Level differences up to this cap are
-  /// absorbed before DTW; any residual beyond the cap stays in the cost. A
-  /// small value absorbs the curve offset caused by the head sitting
-  /// *between* two profiled positions, while still rejecting far-away
-  /// branches whose level differs by more. 0 disables the adjustment.
+  /// series), computed from the means of both sides. Level differences up
+  /// to this cap are absorbed before DTW; any residual beyond the cap
+  /// stays in the cost. A small value absorbs the curve offset caused by
+  /// the head sitting *between* two profiled positions, while still
+  /// rejecting far-away branches whose level differs by more. 0 disables
+  /// the adjustment.
   double max_dc_offset = 0.0;
-
-  /// Skip candidates whose O(1) endpoint lower bound already exceeds the
-  /// retention bar.
-  bool use_lower_bound = true;
-
-  /// Second stage of the lower-bound cascade: a per-column envelope bound
-  /// under the exact DTW band geometry (LB_Keogh-style), evaluated only
-  /// for candidates the endpoint bound could not prune.
-  bool use_band_lower_bound = true;
-
-  /// Abandon a DTW evaluation once a whole DP row exceeds the retention
-  /// bar (on top of any caller-set dtw.abandon_above).
-  bool use_early_abandon = true;
 
   /// Retention bar: candidates with normalized distance within
   /// runner_up_slack * best_score + runner_up_slack_abs survive into the
-  /// runner-up / top-K report; everything beyond is fair game for pruning
-  /// and is filtered from the report even when evaluated. The additive
-  /// term keeps the report meaningful when the best score is ~0 (exact
-  /// match), where a purely multiplicative bar would starve the
-  /// runner-up.
+  /// runner-up / top-K report; everything beyond is pruned when a lower
+  /// bound proves it, abandoned mid-DTW when a DP row does, and filtered
+  /// from the report even when evaluated. The additive term keeps the
+  /// report meaningful when the best score is ~0 (exact match), where a
+  /// purely multiplicative bar would starve the runner-up.
   double runner_up_slack = 4.0;
   double runner_up_slack_abs = 0.05;
 
@@ -87,30 +72,25 @@ struct SeriesMatchOptions {
   /// DTW options; `abandon_above` is tightened internally per batch.
   DtwOptions dtw{};
 
-  /// Optional per-candidate predicate on (start, length). Candidates it
-  /// rejects are skipped before any DTW work. ViHOT uses this to enforce
-  /// head-motion continuity: only segments ending at an orientation the
-  /// head could have reached since the last estimate are eligible.
-  std::function<bool(std::size_t start, std::size_t length)> candidate_filter;
-
-  /// Optional non-negative score penalty added to a candidate's
-  /// normalized DTW distance before comparison. ViHOT uses this as a SOFT
-  /// continuity prior: two profile regions can have the same phase level
-  /// and slope ("twin branches"); a gentle penalty on the angular jump
-  /// breaks such near-ties toward the previous estimate while a decisive
-  /// shape difference still wins outright.
-  std::function<double(std::size_t start, std::size_t length)> score_bias;
+  /// Optional score penalty, one value per reference sample: a candidate
+  /// ending at index e scores distance + end_penalty[e], and +inf
+  /// excludes it before it is counted or costs DTW work. Empty means no
+  /// penalty; any other size than the reference's makes the scan return
+  /// found == false. ViHOT's continuity hint (OrientationEstimator) is
+  /// +inf beyond the hard hint's reach plus the soft prior's quadratic
+  /// penalty on the angular jump, which breaks twin-branch near-ties.
+  std::span<const double> end_penalty;
 };
 
 /// Where the candidates of one scan went — the prune funnel. Every
-/// candidate that passes candidate_filter lands in exactly one of the
-/// pruned/abandoned/evaluated buckets. The scan scores candidates in
+/// candidate not excluded by an infinite end_penalty lands in exactly one
+/// of the pruned/abandoned/evaluated buckets. The scan scores candidates in
 /// batches of simd::kDtwBatchLanes and reads the pruning bar once per
 /// batch, so which bucket a candidate lands in depends on the batch
 /// boundaries (a function of the inputs, identical for every kernel
 /// table and thread count), while the reported match does not.
 struct SeriesMatchStats {
-  std::uint64_t candidates = 0;         ///< candidates past the filter
+  std::uint64_t candidates = 0;         ///< candidates not excluded
   std::uint64_t lb_endpoint_pruned = 0; ///< cut by the O(1) endpoint bound
   std::uint64_t lb_band_pruned = 0;     ///< cut by the band-envelope bound
   std::uint64_t dtw_abandoned = 0;      ///< DTW started but returned inf
@@ -133,7 +113,7 @@ struct SeriesMatch {
   std::size_t start = 0;   ///< start index in the reference
   std::size_t length = 0;  ///< matched segment length, in samples
   double distance = std::numeric_limits<double>::infinity();
-  /// distance + score_bias of the winner (== distance when no bias).
+  /// distance + end_penalty of the winner (== distance when no penalty).
   double score = std::numeric_limits<double>::infinity();
   /// Best match that does NOT overlap the winner; gauges ambiguity
   /// (close second => the phase window was not discriminative, the
@@ -162,7 +142,8 @@ struct SeriesMatch {
 
 /// Finds the best-matching segment of `reference` for `query` under DTW.
 /// Returns found == false when the reference is shorter than the smallest
-/// candidate or either series is empty. Uses an internal thread_local
+/// candidate, either series is empty, or a non-empty end_penalty does not
+/// have one entry per reference sample. Uses an internal thread_local
 /// MatchWorkspace, so repeated calls from one thread are allocation-free
 /// in the steady state.
 [[nodiscard]] SeriesMatch find_best_match(
@@ -182,7 +163,7 @@ struct SeriesMatch {
 /// return bit-identical results. It scores every candidate with
 /// dtw_distance, the scalar row-major kernel, whichever kernel table is
 /// active, so those tests hold the dispatched batch kernel to the scalar
-/// contract. Ignores the pruning toggles in `options`.
+/// contract. It reads end_penalty exactly as the fast path does.
 [[nodiscard]] SeriesMatch find_best_match_reference(
     std::span<const double> query, std::span<const double> reference,
     const SeriesMatchOptions& options = {});

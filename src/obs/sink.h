@@ -68,8 +68,8 @@ namespace vihot::obs {
   C(match_attempts, "match_attempts") /* per-neighborhood match calls */  \
   C(match_invalid, "match_invalid")   /* attempts with no candidate */    \
   /* Segment-search prune funnel (dsp::SeriesMatchStats, aggregated per   \
-     neighborhood): every candidate past the filter lands in exactly one  \
-     of the pruned/abandoned/evaluated buckets, so                        \
+     neighborhood): every candidate the continuity hint allows lands in   \
+     exactly one of the pruned/abandoned/evaluated buckets, so            \
        candidates = lb_endpoint + lb_band + abandoned + evaluated         \
      and the prune rate is 1 - evaluated / candidates. */                 \
   C(match_candidates, "match_candidates")                                 \

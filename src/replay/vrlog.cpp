@@ -451,7 +451,7 @@ bool decode_profile(Cursor& in, core::CsiProfile* profile) {
     if (!decode_series(in, &p.orientation)) return false;
     profile->positions.push_back(std::move(p));
   }
-  return in.ok();
+  return in.ok() && profile->well_formed();
 }
 
 void encode_track_result(std::vector<unsigned char>& out,

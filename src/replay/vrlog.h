@@ -200,6 +200,8 @@ void encode_tracker_config(std::vector<unsigned char>& out,
 
 void encode_profile(std::vector<unsigned char>& out,
                     const core::CsiProfile& profile);
+/// Fails on a truncated payload and on a profile that is not
+/// CsiProfile::well_formed().
 [[nodiscard]] bool decode_profile(Cursor& in, core::CsiProfile* profile);
 
 void encode_track_result(std::vector<unsigned char>& out,

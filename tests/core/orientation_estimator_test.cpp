@@ -105,6 +105,61 @@ TEST(OrientationEstimatorTest, ImpossibleHintFindsNothing) {
   EXPECT_FALSE(est.estimate(pos, stream, 0.8, ctx).valid);
 }
 
+// The soft prior alone: a penalty soft_weight * (theta_end - soft_theta)^2
+// per candidate pulls the winner's end toward soft_theta, at the price
+// of a worse shape fit.
+TEST(OrientationEstimatorTest, SoftPriorPullsTowardSoftTheta) {
+  const PositionProfile pos = testing::synthetic_position();
+  const OrientationEstimator est;
+  const auto theta_fn = [](double t) { return -0.3 + 1.2 * (t - 1.0); };
+  const util::TimeSeries stream = synthetic_stream(theta_fn, 0.9, 1.6);
+  const OrientationEstimate free = est.estimate(pos, stream, 1.5);
+  ASSERT_TRUE(free.valid);
+  MatchContext ctx;
+  ctx.soft_theta_rad = theta_fn(1.5) + 0.6;
+  ctx.soft_weight = 1.0;
+  const OrientationEstimate pulled = est.estimate(pos, stream, 1.5, ctx);
+  ASSERT_TRUE(pulled.valid);
+  EXPECT_LT(std::abs(pulled.theta_rad - ctx.soft_theta_rad),
+            std::abs(free.theta_rad - ctx.soft_theta_rad) - 0.1);
+  EXPECT_GT(pulled.match_distance, free.match_distance);
+}
+
+// Hard hint plus soft prior, each around its own center: the soft prior
+// pulls the winner toward soft_theta, but never past the hard hint's
+// reach, which excludes candidates whatever their score.
+TEST(OrientationEstimatorTest, HardHintBoundsSoftPrior) {
+  const PositionProfile pos = testing::synthetic_position();
+  const OrientationEstimator est;
+  const auto theta_fn = [](double t) { return -0.3 + 1.2 * (t - 1.0); };
+  const util::TimeSeries stream = synthetic_stream(theta_fn, 0.9, 1.6);
+  ContinuityHint hint;
+  hint.theta_rad = theta_fn(1.5);
+  hint.max_dev_rad = 0.3;
+  MatchContext hard_only;
+  hard_only.hard_hint = &hint;
+  const OrientationEstimate hard = est.estimate(pos, stream, 1.5, hard_only);
+  ASSERT_TRUE(hard.valid);
+
+  MatchContext soft_only;
+  soft_only.soft_theta_rad = hint.theta_rad + 0.6;
+  soft_only.soft_weight = 1.0;
+  const OrientationEstimate soft = est.estimate(pos, stream, 1.5, soft_only);
+  ASSERT_TRUE(soft.valid);
+  // Unbounded, the soft prior carries the winner beyond the hint.
+  ASSERT_GT(soft.theta_rad, hint.theta_rad + hint.max_dev_rad);
+
+  MatchContext both = soft_only;
+  both.hard_hint = &hint;
+  const OrientationEstimate e = est.estimate(pos, stream, 1.5, both);
+  ASSERT_TRUE(e.valid);
+  EXPECT_LE(std::abs(e.theta_rad - hint.theta_rad), hint.max_dev_rad);
+  EXPECT_GT(e.theta_rad, hard.theta_rad);
+  for (const auto& c : e.candidates) {
+    EXPECT_LE(std::abs(c.theta_rad - hint.theta_rad), hint.max_dev_rad);
+  }
+}
+
 TEST(OrientationEstimatorTest, PhaseBiasIsSubtracted) {
   const PositionProfile pos = testing::synthetic_position();
   const OrientationEstimator est;

@@ -147,6 +147,9 @@ TEST_F(ProfileIoTest, RejectsGarbageHeaderValues) {
       "# vihot-profile v1 rate=200 reference=0 positions=\n",
       "# vihot-profile v1 rate=200 reference=0\n",
       "# vihot-profile v1 rate=200 reference=0 positions=99999999999\n",
+      // Parse, but are not finite (CsiProfile::well_formed).
+      "# vihot-profile v1 rate=inf reference=0 positions=0\n",
+      "# vihot-profile v1 rate=200 reference=nan positions=0\n",
   };
   for (const char* header : bad_headers) {
     {
@@ -170,6 +173,10 @@ TEST_F(ProfileIoTest, RejectsWrongShapeBody) {
       "position 0 fingerprint 0.1 t0 0 dt 0.005 samples 1\n0.5;0.25\n",
       // Declared one sample, row missing entirely.
       "position 0 fingerprint 0.1 t0 0 dt 0.005 samples 1\n",
+      // A grid step dt <= 0: the tracker sizes its query as window / dt
+      // (CsiProfile::well_formed).
+      "position 0 fingerprint 0.1 t0 0 dt -0.005 samples 1\n0.5,0.25\n",
+      "position 0 fingerprint 0.1 t0 0 dt 0 samples 1\n0.5,0.25\n",
   };
   for (const char* body : bad_bodies) {
     {

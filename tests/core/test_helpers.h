@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "core/profile.h"
 #include "sim/experiment.h"
@@ -57,6 +59,40 @@ inline CsiProfile synthetic_profile(std::size_t positions = 5) {
     profile.positions.push_back(synthetic_position(i, fp));
   }
   return profile;
+}
+
+/// Profiles that break CsiProfile::well_formed() in one way each, built
+/// from synthetic_profile(2) by corrupting its second position. Every
+/// profile decoder must reject all of them.
+struct HostileProfile {
+  const char* name;
+  CsiProfile profile;
+};
+
+inline std::vector<HostileProfile> hostile_profiles() {
+  const auto corrupt = [](auto mutate) {
+    CsiProfile profile = synthetic_profile(2);
+    mutate(profile.positions[1]);
+    return profile;
+  };
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {
+      {"orientation shorter than csi",
+       corrupt([](PositionProfile& p) { p.orientation.values.resize(10); })},
+      {"negative dt", corrupt([](PositionProfile& p) {
+         p.csi.dt = -0.005;
+         p.orientation.dt = -0.005;
+       })},
+      {"NaN dt", corrupt([kNan](PositionProfile& p) { p.csi.dt = kNan; })},
+      {"zero dt", corrupt([](PositionProfile& p) { p.orientation.dt = 0.0; })},
+      {"NaN csi sample",
+       corrupt([kNan](PositionProfile& p) { p.csi.values[5] = kNan; })},
+      {"infinite orientation sample",
+       corrupt([kInf](PositionProfile& p) { p.orientation.values[7] = kInf; })},
+      {"infinite fingerprint",
+       corrupt([kInf](PositionProfile& p) { p.fingerprint_phase = -kInf; })},
+  };
 }
 
 /// A real profile built through the full simulator (shared across tests

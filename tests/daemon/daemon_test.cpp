@@ -303,6 +303,30 @@ TEST_F(DaemonTest, FeedForUnknownSessionIsRejected) {
   expect_daemon_alive();
 }
 
+TEST_F(DaemonTest, MalformedProfileIsAMalformedOpenSession) {
+  // A hostile profile costs its sender the session and the connection,
+  // lands in daemon.protocol_errors, and leaves the other feeders and
+  // the tick loop serving.
+  Client good = Client::connect(socket_path_, Role::kFeeder);
+  ASSERT_TRUE(good.ok()) << good.error();
+  open_and_tick(good);
+  const std::uint64_t errors_before =
+      daemon_->sink().daemon.protocol_errors.value();
+  const auto hostile = core::testing::hostile_profiles();
+  for (const auto& [name, profile] : hostile) {
+    Client bad = Client::connect(socket_path_, Role::kFeeder);
+    ASSERT_TRUE(bad.ok()) << bad.error();
+    std::uint64_t global_sid = 0;
+    EXPECT_FALSE(bad.open_session(1, profile, {}, &global_sid)) << name;
+    EXPECT_NE(bad.error().find("malformed open-session"), std::string::npos)
+        << name << ": " << bad.error();
+  }
+  EXPECT_EQ(daemon_->sink().daemon.protocol_errors.value(),
+            errors_before + hostile.size());
+  ASSERT_TRUE(good.send_tick(0.02)) << good.error();
+  expect_daemon_alive();
+}
+
 TEST_F(DaemonTest, DuplicateClientSessionIdIsRejected) {
   Client feeder = Client::connect(socket_path_, Role::kFeeder);
   ASSERT_TRUE(feeder.ok()) << feeder.error();

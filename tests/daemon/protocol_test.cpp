@@ -210,6 +210,21 @@ TEST(ProtocolCodec, OpenSessionCarriesVrlogProfileBytes) {
   EXPECT_DOUBLE_EQ(got_config.camera_staleness_s, 0.125);
 }
 
+TEST(ProtocolCodec, OpenSessionRejectsMalformedProfiles) {
+  // The daemon hands a decoded profile straight to the engine, so the
+  // decoder is the only gate between a client's bytes and the matcher.
+  for (const auto& [name, profile] : core::testing::hostile_profiles()) {
+    std::vector<unsigned char> bytes;
+    encode_open_session(bytes, 5, profile, core::TrackerConfig{});
+    replay::Cursor in(bytes.data(), bytes.size());
+    std::uint64_t sid = 0;
+    core::CsiProfile got_profile;
+    core::TrackerConfig got_config;
+    EXPECT_FALSE(decode_open_session(in, &sid, &got_profile, &got_config))
+        << name;
+  }
+}
+
 TEST(ProtocolCodec, SessionAckRoundTrip) {
   std::vector<unsigned char> bytes;
   encode_session_ack(bytes, 5, 1234567890123ull);

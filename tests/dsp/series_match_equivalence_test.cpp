@@ -5,9 +5,8 @@
 // workspace reuse — is only allowed to change how fast the answer
 // arrives, never the answer. These tests pin that invariant down with
 // EXPECT_EQ on doubles: best, runner-up, and top-K must be
-// BIT-IDENTICAL between the pruned scan, the unpruned scan, the naive
-// reference implementation, and scans running concurrently on other
-// threads.
+// BIT-IDENTICAL between the pruned scan, the naive unpruned reference
+// implementation, and scans running concurrently on other threads.
 #include "dsp/series_match.h"
 
 #include <gtest/gtest.h>
@@ -61,32 +60,35 @@ void expect_same_match(const SeriesMatch& a, const SeriesMatch& b,
   }
 }
 
-SeriesMatchOptions pruning_off(SeriesMatchOptions opt) {
-  opt.use_lower_bound = false;
-  opt.use_band_lower_bound = false;
-  opt.use_early_abandon = false;
-  return opt;
-}
-
-TEST(MatcherEquivalence, PrunedMatchesUnprunedBitIdentical) {
-  const auto reference = noisy_sine(600, 48.0, 11);
-  const auto query = noisy_sine(30, 48.0, 12);
-  for (const NamedOptions& cfg : option_matrix()) {
-    const SeriesMatch pruned = find_best_match(query, reference, cfg.opt);
-    const SeriesMatch unpruned =
-        find_best_match(query, reference, pruning_off(cfg.opt));
-    expect_same_match(pruned, unpruned, cfg.name);
-  }
-}
-
 TEST(MatcherEquivalence, FastPathMatchesNaiveReference) {
   const auto reference = noisy_sine(600, 48.0, 21);
   const auto query = noisy_sine(30, 48.0, 22);
-  for (const NamedOptions& cfg : option_matrix()) {
-    const SeriesMatch fast = find_best_match(query, reference, cfg.opt);
-    const SeriesMatch naive =
-        find_best_match_reference(query, reference, cfg.opt);
+  for (const NamedOptions& cfg : option_matrix(reference.size())) {
+    const SeriesMatchOptions opt = cfg.options();
+    const SeriesMatch fast = find_best_match(query, reference, opt);
+    const SeriesMatch naive = find_best_match_reference(query, reference, opt);
     expect_same_match(fast, naive, cfg.name);
+    // Both scans skip the same +inf-penalized candidates before counting.
+    EXPECT_EQ(fast.scan.candidates, naive.scan.candidates) << cfg.name;
+  }
+}
+
+// A penalty span that does not cover the reference index for index is
+// rejected by both scans (found == false) without reading past it.
+TEST(MatcherEquivalence, MismatchedPenaltySizeFindsNothing) {
+  const auto reference = noisy_sine(600, 48.0, 23);
+  const auto query = noisy_sine(30, 48.0, 24);
+  for (const std::size_t n : {std::size_t{1}, reference.size() - 1,
+                              reference.size() + 1}) {
+    const std::vector<double> penalty(n, 0.0);
+    SeriesMatchOptions opt;
+    opt.end_penalty = penalty;
+    const SeriesMatch fast = find_best_match(query, reference, opt);
+    const SeriesMatch naive = find_best_match_reference(query, reference, opt);
+    EXPECT_FALSE(fast.found) << n;
+    EXPECT_FALSE(naive.found) << n;
+    EXPECT_EQ(fast.scan.candidates, 0u) << n;
+    EXPECT_EQ(naive.scan.candidates, 0u) << n;
   }
 }
 
@@ -96,10 +98,10 @@ TEST(MatcherEquivalence, ParallelMatchesSerialBitIdentical) {
   // scratch nor see each other's state.
   const auto reference = noisy_sine(600, 48.0, 31);
   const auto query = noisy_sine(30, 48.0, 32);
-  const std::vector<NamedOptions> matrix = option_matrix();
+  const std::vector<NamedOptions> matrix = option_matrix(reference.size());
   std::vector<SeriesMatch> serial;
   for (const NamedOptions& cfg : matrix) {
-    serial.push_back(find_best_match(query, reference, cfg.opt));
+    serial.push_back(find_best_match(query, reference, cfg.options()));
   }
 
   constexpr std::size_t kThreads = 4;
@@ -113,7 +115,7 @@ TEST(MatcherEquivalence, ParallelMatchesSerialBitIdentical) {
         // option sets overlap in time.
         for (std::size_t k = 0; k < matrix.size(); ++k) {
           const NamedOptions& cfg = matrix[(k + w) % matrix.size()];
-          got[w].push_back(find_best_match(query, reference, cfg.opt));
+          got[w].push_back(find_best_match(query, reference, cfg.options()));
         }
       }
     });
@@ -161,7 +163,7 @@ TEST(MatcherEquivalence, PruneFunnelAccountsForEveryCandidate) {
   opt.dtw.band_fraction = 0.25;
   const SeriesMatch pruned = find_best_match(query, reference, opt);
   const SeriesMatch unpruned =
-      find_best_match(query, reference, pruning_off(opt));
+      find_best_match_reference(query, reference, opt);
   const SeriesMatchStats& s = pruned.scan;
   EXPECT_EQ(s.candidates, s.lb_endpoint_pruned + s.lb_band_pruned +
                               s.dtw_abandoned + s.dtw_evaluated);
@@ -197,41 +199,8 @@ TEST(MatcherEquivalence, RunnerUpSurvivesExactWinnerPruning) {
       << "runner-up starved by an exact winner";
   EXPECT_NEAR(static_cast<double>(pruned.runner_up_start), 60.0, 4.0);
   const SeriesMatch unpruned =
-      find_best_match(query, reference, pruning_off(opt));
+      find_best_match_reference(query, reference, opt);
   expect_same_match(pruned, unpruned, "exact-winner pruning");
-}
-
-// Regression (dead DC-offset path): with mean_center on, the offset
-// delta used to be computed from already-centered series, so it was
-// always ~0 and max_dc_offset silently behaved like plain centering —
-// level mismatches beyond the cap were forgiven instead of penalized.
-TEST(MatcherEquivalence, DcOffsetCapAppliesUnderMeanCentering) {
-  std::vector<double> reference(300);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    reference[i] =
-        std::sin(2.0 * 3.14159265358979 * static_cast<double>(i) / 60.0);
-  }
-  SeriesMatchOptions opt;
-  opt.dtw.band_fraction = 0.25;
-  opt.mean_center = true;
-  opt.max_dc_offset = 0.2;
-
-  // Level shift within the cap: fully absorbed, the match is exact.
-  std::vector<double> query(reference.begin() + 20, reference.begin() + 50);
-  for (double& v : query) v += 0.15;
-  const SeriesMatch within = find_best_match(query, reference, opt);
-  ASSERT_TRUE(within.found);
-  EXPECT_LT(within.distance, 1e-12);
-
-  // Level shift beyond the cap: the residual must stay in the cost
-  // (the dead path used to absorb this entirely via centering).
-  std::vector<double> far_query(reference.begin() + 20,
-                                reference.begin() + 50);
-  for (double& v : far_query) v += 0.8;
-  const SeriesMatch beyond = find_best_match(far_query, reference, opt);
-  ASSERT_TRUE(beyond.found);
-  EXPECT_GT(beyond.distance, 0.01);
-  EXPECT_GT(beyond.distance, within.distance * 100.0);
 }
 
 // Top-K oracle. find_best_match_reference shares the matcher's report
@@ -271,36 +240,28 @@ SeriesMatch oracle_match(std::span<const double> query,
   double qsum = 0.0;
   for (const double v : query) qsum += v;
   const double qmean = qsum / static_cast<double>(query.size());
-  std::vector<double> q(query.begin(), query.end());
-  if (opt.mean_center) {
-    for (double& v : q) v -= qmean;
-  }
 
   std::vector<Hit> hits;
   const std::size_t stride = std::max<std::size_t>(opt.start_stride, 1);
   for (const std::size_t len : lengths) {
     for (std::size_t start = 0; start + len <= reference.size();
          start += stride) {
-      if (opt.candidate_filter && !opt.candidate_filter(start, len)) continue;
+      const double penalty =
+          opt.end_penalty.empty() ? 0.0 : opt.end_penalty[start + len - 1];
+      if (std::isinf(penalty)) continue;
       const double smean =
           (prefix[start + len] - prefix[start]) / static_cast<double>(len);
       const double cap = opt.max_dc_offset;
-      double shift = 0.0;
-      if (opt.mean_center) {
-        shift = cap > 0.0 ? qmean + std::clamp(smean - qmean, -cap, cap)
-                          : smean;
-      } else if (cap > 0.0) {
-        shift = std::clamp(smean - qmean, -cap, cap);
-      }
+      const double shift =
+          cap > 0.0 ? std::clamp(smean - qmean, -cap, cap) : 0.0;
       std::vector<double> seg(len);
       for (std::size_t j = 0; j < len; ++j) {
         seg[j] = reference[start + j] - shift;
       }
-      const double d_raw = dtw_distance(q, seg, opt.dtw);
+      const double d_raw = dtw_distance(query, seg, opt.dtw);
       if (std::isinf(d_raw)) continue;
-      const double d = d_raw / static_cast<double>(q.size() + len);
-      const double bias = opt.score_bias ? opt.score_bias(start, len) : 0.0;
-      hits.push_back({start, len, d, d + bias});
+      const double d = d_raw / static_cast<double>(query.size() + len);
+      hits.push_back({start, len, d, d + penalty});
     }
   }
 
@@ -371,10 +332,10 @@ TEST(MatcherEquivalence, TopKMatchesSortingOracle) {
       {"piecewise_step", step_query, piecewise_constant(600, 40)},
   };
   for (const Case& c : cases) {
-    for (const NamedOptions& cfg : option_matrix()) {
+    for (const NamedOptions& cfg : option_matrix(c.reference.size())) {
       for (const std::size_t k : {std::size_t{1}, std::size_t{4},
                                   std::size_t{64}}) {
-        SeriesMatchOptions opt = cfg.opt;
+        SeriesMatchOptions opt = cfg.options();
         opt.top_k = k;
         const SeriesMatch want = oracle_match(c.query, c.reference, opt);
         const SeriesMatch got = find_best_match(c.query, c.reference, opt);

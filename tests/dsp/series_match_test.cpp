@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/rng.h"
@@ -114,13 +116,15 @@ TEST(SeriesMatchTest, CandidateFilterExcludesRegions) {
   const std::vector<double> query(ref.begin() + 120, ref.begin() + 160);
   SeriesMatchOptions opt;
   opt.start_stride = 1;
-  // Forbid the true region; the match must land elsewhere.
-  opt.candidate_filter = [](std::size_t start, std::size_t len) {
-    return start + len <= 100 || start >= 200;
-  };
+  // Forbid every segment ending in [100, 240), which holds the true
+  // match's end (159); the match must end elsewhere.
+  std::vector<double> penalty(ref.size(), 0.0);
+  std::fill(penalty.begin() + 100, penalty.begin() + 240,
+            std::numeric_limits<double>::infinity());
+  opt.end_penalty = penalty;
   const SeriesMatch m = find_best_match(query, ref, opt);
   ASSERT_TRUE(m.found);
-  EXPECT_TRUE(m.end() <= 100 || m.start >= 200);
+  EXPECT_TRUE(m.end() - 1 < 100 || m.end() - 1 >= 240);
   EXPECT_GT(m.distance, 1e-6);
 }
 
@@ -132,25 +136,15 @@ TEST(SeriesMatchTest, ScoreBiasBreaksTies) {
   std::vector<double> query(ref.begin() + 100, ref.begin() + 130);
   SeriesMatchOptions opt;
   opt.start_stride = 1;
-  opt.score_bias = [](std::size_t start, std::size_t) {
-    // Penalize everything except the early region.
-    return start > 60 ? 1.0 : 0.0;
-  };
+  // Penalize every segment ending past the early region.
+  std::vector<double> penalty(ref.size(), 0.0);
+  std::fill(penalty.begin() + 91, penalty.end(), 1.0);
+  opt.end_penalty = penalty;
   const SeriesMatch m = find_best_match(query, ref, opt);
   ASSERT_TRUE(m.found);
-  EXPECT_LE(m.start, 60u);
-}
-
-TEST(SeriesMatchTest, MeanCenterIgnoresOffset) {
-  const auto ref = chirp(300);
-  std::vector<double> query(ref.begin() + 80, ref.begin() + 120);
-  for (double& v : query) v += 5.0;  // large DC offset
-  SeriesMatchOptions opt;
-  opt.start_stride = 1;
-  opt.mean_center = true;
-  const SeriesMatch m = find_best_match(query, ref, opt);
-  ASSERT_TRUE(m.found);
-  EXPECT_NEAR(static_cast<double>(m.start), 80.0, 5.0);
+  EXPECT_LE(m.end() - 1, 90u);
+  EXPECT_LT(m.score, 1.0);
+  EXPECT_EQ(m.score, m.distance);
 }
 
 TEST(SeriesMatchTest, MaxDcOffsetAbsorbsSmallShift) {
@@ -179,7 +173,6 @@ TEST_P(MatchOptimality, WinnerBeatsSampledCandidates) {
       ref.begin() + at, ref.begin() + at + 30);
   SeriesMatchOptions opt;
   opt.start_stride = 1;
-  opt.use_lower_bound = false;
   const SeriesMatch m = find_best_match(query, ref, opt);
   ASSERT_TRUE(m.found);
   // Compare against a handful of explicit candidates.

@@ -339,26 +339,29 @@ void expect_same_match(const SeriesMatch& a, const SeriesMatch& b) {
   }
 }
 
-// The matcher-equivalence matrix (filters with non-contiguous batch
-// survivors, biases, centering, DC shift) plus band extremes.
-std::vector<NamedOptions> forced_dispatch_option_matrix() {
-  std::vector<NamedOptions> matrix = option_matrix();
+// The matcher-equivalence matrix (exclusions with non-contiguous batch
+// survivors, end-index penalties, DC shift) plus band extremes.
+std::vector<NamedOptions> forced_dispatch_option_matrix(
+    std::size_t reference_size) {
+  std::vector<NamedOptions> matrix = option_matrix(reference_size);
   SeriesMatchOptions narrow;  // narrow band + coarse stride
   narrow.dtw.band_fraction = 0.05;
   narrow.start_stride = 3;
-  matrix.push_back({"narrow_band+stride_3", narrow});
+  matrix.push_back({"narrow_band+stride_3", narrow, {}});
   SeriesMatchOptions full;
   full.dtw.band_fraction = 1.0;
   full.start_stride = 2;
-  matrix.push_back({"full_band", full});
+  matrix.push_back({"full_band", full, {}});
   return matrix;
 }
 
 TEST(SimdForcedDispatchTest, MatcherBitIdenticalAcrossTables) {
   const auto reference = smooth_series(400, 11);
   const auto query = smooth_series(40, 12);
-  for (const auto& [name, opt] : forced_dispatch_option_matrix()) {
-    SCOPED_TRACE(name);
+  for (const NamedOptions& cfg :
+       forced_dispatch_option_matrix(reference.size())) {
+    SCOPED_TRACE(cfg.name);
+    const SeriesMatchOptions opt = cfg.options();
     SeriesMatch scalar_match;
     {
       simd::ForcedKernels forced(simd::scalar_kernels());

@@ -8,6 +8,8 @@
 #include <cstring>
 #include <limits>
 
+#include "tests/core/test_helpers.h"
+
 namespace vihot::replay {
 namespace {
 
@@ -213,6 +215,25 @@ TEST(Codecs, ProfileRoundTripsBitExactly) {
   ASSERT_EQ(back.positions.size(), 1u);
   EXPECT_EQ(back.positions[0].csi.values.size(), 4u);
   EXPECT_EQ(bits_of(back.positions[0].csi.values[1]), bits_of(-0.0));
+}
+
+TEST(Codecs, MalformedProfilesAreRejected) {
+  // A profile every consumer would mis-index (orientation shorter than
+  // the CSI series, a grid step dt <= 0 or NaN, non-finite samples) must
+  // fail to decode: the tracker used to read past the orientation series
+  // or throw from the query resampler, aborting the process.
+  std::vector<unsigned char> good;
+  encode_profile(good, core::testing::synthetic_profile(2));
+  Cursor good_in(good.data(), good.size());
+  core::CsiProfile back;
+  ASSERT_TRUE(decode_profile(good_in, &back));
+  for (const auto& [name, profile] : core::testing::hostile_profiles()) {
+    EXPECT_FALSE(profile.well_formed()) << name;
+    std::vector<unsigned char> buf;
+    encode_profile(buf, profile);
+    Cursor in(buf.data(), buf.size());
+    EXPECT_FALSE(decode_profile(in, &back)) << name;
+  }
 }
 
 TEST(Codecs, TrackResultRoundTripsBitExactly) {

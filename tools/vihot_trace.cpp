@@ -130,9 +130,17 @@ int track(const std::string& prefix, double window_ms) {
   sim::ScenarioConfig config;
   config.seed = seed;
   if (window_ms > 0.0) config.tracker.matcher.window_s = window_ms / 1000.0;
-  // Prefer the persisted profile; rebuild from the seed as a fallback.
+  // Prefer the persisted profile; rebuild from the seed when there is
+  // none. A profile file that fails to load is an error, not a reason to
+  // track against a different profile.
   core::CsiProfile profile;
-  if (const auto stored = core::load_profile(prefix + ".profile")) {
+  if (std::ifstream(prefix + ".profile")) {
+    const auto stored = core::load_profile(prefix + ".profile");
+    if (!stored) {
+      std::fprintf(stderr, "error: malformed profile %s.profile\n",
+                   prefix.c_str());
+      return 1;
+    }
     profile = *stored;
     std::printf("loaded profile from %s.profile (%zu positions)\n",
                 prefix.c_str(), profile.size());
