@@ -16,7 +16,7 @@ namespace {
 bool finite(double v) noexcept { return std::isfinite(v); }
 
 bool finite_grid(const util::UniformSeries& s) noexcept {
-  return finite(s.t0) && finite(s.dt) && s.dt > 0.0 &&
+  return finite(s.t0) && finite(s.dt) && s.dt >= kMinProfileDt &&
          std::all_of(s.values.begin(), s.values.end(), finite);
 }
 

@@ -24,6 +24,13 @@
 
 namespace vihot::core {
 
+/// Smallest profile grid step (s), the decoders' bound next to their
+/// sample caps (replay/vrlog.cpp). Queries are round(window_s / dt) + 1
+/// samples, so a tiny dt is an unbounded allocation (or, near 1e-300, an
+/// out-of-range cast). 1e-4 s is a 10 kHz grid: 50x finer than the
+/// simulator's 200 Hz profiles (dt 0.005), above any CSI packet rate.
+inline constexpr double kMinProfileDt = 1e-4;
+
 /// C_i: the profile of one head position.
 struct PositionProfile {
   std::size_t position_index = 0;
@@ -61,10 +68,10 @@ struct CsiProfile {
   /// The shape every consumer indexes by: in every position, the
   /// orientation series has one sample per CSI sample (the matcher reads
   /// theta at a CSI match index), both series have a finite grid step
-  /// dt > 0 (the estimator sizes its query as window / dt), and every
-  /// stored double is finite. The profile decoders reject a profile
-  /// that breaks it, so a hostile log or open-session frame cannot
-  /// crash the tracker.
+  /// dt >= kMinProfileDt (the estimator sizes its query as window / dt),
+  /// and every stored double is finite. The profile decoders reject a
+  /// profile that breaks it, so a hostile log or open-session frame
+  /// cannot crash the tracker.
   [[nodiscard]] bool well_formed() const noexcept;
 };
 

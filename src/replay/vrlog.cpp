@@ -11,7 +11,10 @@ namespace vihot::replay {
 namespace {
 
 /// Sanity caps: a corrupt length field must not trigger gigabyte
-/// reserves. Generous next to any real capture.
+/// reserves. Generous next to any real capture. decode_profile also
+/// enforces the grid-step floor core::kMinProfileDt through
+/// CsiProfile::well_formed(), which bounds a query's window_s worth of
+/// samples (at most 60 s / 1e-4 s = 6e5 below).
 constexpr std::size_t kMaxSeriesSamples = 1u << 24;
 constexpr std::size_t kMaxPositions = 1u << 16;
 constexpr std::size_t kMaxSubcarriers = 4096;

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string_view>
 #include <system_error>
@@ -36,29 +35,6 @@ std::optional<std::size_t> header_field(const std::string& header,
 
 }  // namespace
 
-bool write_csi_trace(const std::string& path,
-                     std::span<const CsiMeasurement> capture) {
-  std::ofstream os(path);
-  if (!os) return false;
-  const std::size_t nsc = capture.empty() ? 0 : capture[0].num_subcarriers();
-  os << kCsiMagic << " antennas=2 subcarriers=" << nsc << '\n';
-  // max_digits10 (17) makes the decimal text round-trip bit-exactly back
-  // to the same double; the old precision(12) quietly dropped low bits,
-  // so a record->track cycle did not reproduce the live run.
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const CsiMeasurement& m : capture) {
-    if (m.num_subcarriers() != nsc || m.h[1].size() != nsc) return false;
-    os << m.t;
-    for (const auto& row : m.h) {
-      for (const auto& h : row) {
-        os << ',' << h.real() << ',' << h.imag();
-      }
-    }
-    os << '\n';
-  }
-  return static_cast<bool>(os);
-}
-
 std::optional<std::vector<CsiMeasurement>> read_csi_trace(
     const std::string& path) {
   std::ifstream is(path);
@@ -78,7 +54,10 @@ std::optional<std::vector<CsiMeasurement>> read_csi_trace(
   if (!antennas.has_value() || *antennas != kAntennas) return std::nullopt;
   const std::optional<std::size_t> subcarriers =
       header_field(header, "subcarriers=");
-  if (!subcarriers.has_value() || *subcarriers > kMaxSubcarriers) {
+  // Zero subcarriers is no capture at all: every frame would sanitize to
+  // phase 0.0 and be tracked as if it held data.
+  if (!subcarriers.has_value() || *subcarriers == 0 ||
+      *subcarriers > kMaxSubcarriers) {
     return std::nullopt;
   }
   const std::size_t nsc = *subcarriers;
@@ -108,19 +87,6 @@ std::optional<std::vector<CsiMeasurement>> read_csi_trace(
     out.push_back(std::move(m));
   }
   return out;
-}
-
-bool write_imu_trace(const std::string& path,
-                     std::span<const imu::ImuSample> samples) {
-  std::ofstream os(path);
-  if (!os) return false;
-  os << kImuMagic << '\n';
-  os.precision(std::numeric_limits<double>::max_digits10);
-  for (const imu::ImuSample& s : samples) {
-    os << s.t << ',' << s.gyro_yaw_rad_s << ',' << s.accel_lateral_mps2
-       << '\n';
-  }
-  return static_cast<bool>(os);
 }
 
 std::optional<std::vector<imu::ImuSample>> read_imu_trace(

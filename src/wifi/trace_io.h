@@ -1,15 +1,16 @@
-// CSI / IMU trace files: record a capture, replay it later.
+// CSI / IMU capture files: the text form a real capture lands in.
 //
 // A real deployment collects CSI with the Intel 5300 tool on one machine
-// and analyzes it elsewhere; simulated experiments benefit from the same
-// decoupling (record once, iterate on the tracker offline). The format is
-// a self-describing CSV:
+// and analyzes it elsewhere. Its dumps convert to this self-describing
+// CSV, which `vihot_replay import` turns into a .vrlog (the one replay
+// format). Values are decimal text; 17 significant digits
+// (max_digits10) carry any double exactly.
 //
 //   # vihot-csi v1 antennas=2 subcarriers=30
 //   t,re00,im00,...,re0K,im0K,re10,im10,...     (one line per frame)
 //
 //   # vihot-imu v1
-//   t,gyro_yaw,accel_lat                        (one line per sample)
+//   t,gyro_yaw,accel_lateral                    (one line per sample)
 #pragma once
 
 #include <optional>
@@ -21,19 +22,11 @@
 
 namespace vihot::wifi {
 
-/// Writes a CSI capture; returns false on I/O failure or empty input
-/// with inconsistent shapes.
-bool write_csi_trace(const std::string& path,
-                     std::span<const CsiMeasurement> capture);
-
-/// Reads a CSI capture; std::nullopt on missing file, bad header, or a
-/// malformed row. Frames keep their original timestamps and order.
+/// Reads a CSI capture; std::nullopt on missing file, bad header
+/// (including zero or absurdly many subcarriers), or a malformed row.
+/// Frames keep their original timestamps and order.
 [[nodiscard]] std::optional<std::vector<CsiMeasurement>> read_csi_trace(
     const std::string& path);
-
-/// Writes an IMU trace; returns false on I/O failure.
-bool write_imu_trace(const std::string& path,
-                     std::span<const imu::ImuSample> samples);
 
 /// Reads an IMU trace; std::nullopt on missing file or malformed rows.
 [[nodiscard]] std::optional<std::vector<imu::ImuSample>> read_imu_trace(

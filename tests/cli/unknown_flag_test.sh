@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # CLI contract check: every binary passed as an argument must reject an
 # unknown option — and an unknown backend name, a retired flag or a
-# malformed number — by printing usage text and exiting 2. Guards the
-# vihot_trace regression where a typo'd flag was silently ignored and the
-# run proceeded with defaults.
+# malformed number — by printing usage text and exiting 2. Guards against
+# the regression where a typo'd flag was silently ignored and the run
+# proceeded with defaults.
 status=0
 probe() {
   bin=$1; label=$2; shift 2
@@ -42,6 +42,9 @@ for bin in "$@"; do
         verify /nonexistent.vrlog --threads abc
       probe "$bin" "a non-numeric --at-offset" \
         replay /nonexistent.vrlog --at-offset abc
+      # import requires --profile with a value.
+      probe "$bin" "an import --profile with no value" \
+        import /nonexistent/capture /nonexistent.vrlog --profile
       ;;
     vihot_loadgen*)
       # With --socket and --log present, only the number can fail the
@@ -49,10 +52,6 @@ for bin in "$@"; do
       probe "$bin" "a negative replica count" soak \
         --socket "${TMPDIR:-/tmp}/cli-probe-never-bound.sock" \
         --log /nonexistent.vrlog --replicas -1
-      ;;
-    vihot_trace*)
-      probe "$bin" "a non-numeric duration" \
-        record "${TMPDIR:-/tmp}/cli-probe-never-written" --duration abc
       ;;
     vihotd*)
       # strtoull read "-1" as 2^64-1, and the ring round-up then hung.

@@ -86,6 +86,16 @@ inline std::vector<HostileProfile> hostile_profiles() {
        })},
       {"NaN dt", corrupt([kNan](PositionProfile& p) { p.csi.dt = kNan; })},
       {"zero dt", corrupt([](PositionProfile& p) { p.orientation.dt = 0.0; })},
+      // Positive but below kMinProfileDt: 1e-300 made the query size
+      // cast out of range, 1e-9 sized every query at ~1e8 samples.
+      {"dt 1e-300", corrupt([](PositionProfile& p) {
+         p.csi.dt = 1e-300;
+         p.orientation.dt = 1e-300;
+       })},
+      {"dt 1e-9", corrupt([](PositionProfile& p) {
+         p.csi.dt = 1e-9;
+         p.orientation.dt = 1e-9;
+       })},
       {"NaN csi sample",
        corrupt([kNan](PositionProfile& p) { p.csi.values[5] = kNan; })},
       {"infinite orientation sample",

@@ -219,9 +219,10 @@ TEST(Codecs, ProfileRoundTripsBitExactly) {
 
 TEST(Codecs, MalformedProfilesAreRejected) {
   // A profile every consumer would mis-index (orientation shorter than
-  // the CSI series, a grid step dt <= 0 or NaN, non-finite samples) must
-  // fail to decode: the tracker used to read past the orientation series
-  // or throw from the query resampler, aborting the process.
+  // the CSI series, a grid step that is NaN or below kMinProfileDt,
+  // non-finite samples) must fail to decode: the tracker used to read
+  // past the orientation series, throw from the query resampler, or size
+  // its query by an out-of-range cast.
   std::vector<unsigned char> good;
   encode_profile(good, core::testing::synthetic_profile(2));
   Cursor good_in(good.data(), good.size());

@@ -1,23 +1,56 @@
+// Capture-file readers over literal text: what a converted real capture
+// would hold, including 17-digit (max_digits10) decimals that must parse
+// to the exact doubles they name.
 #include "wifi/trace_io.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
-#include "channel/cabin.h"
-#include "wifi/link.h"
+#include "util/rng.h"
 
 namespace vihot::wifi {
 namespace {
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+/// 17-digit decimal texts and the IEEE-754 doubles they denote.
+struct Decimal {
+  const char* text;
+  std::uint64_t bits;
+};
+constexpr Decimal kAwkward[] = {
+    {"0.10000000000000001", 0x3fb999999999999aULL},
+    {"0.33333333333333331", 0x3fd5555555555555ULL},
+    {"3.0000000000000001e-310", 0x00003739a252b281ULL},   // subnormal
+    {"-3.0000000000000001e-310", 0x80003739a252b281ULL},
+    {"4.9406564584124654e-324", 0x0000000000000001ULL},   // smallest
+    {"1.7e+308", 0x7fee42d130773b76ULL},
+    {"-1.7e+308", 0xffee42d130773b76ULL},
+    {"-0", 0x8000000000000000ULL},
+    {"2.2250738585072014e-308", 0x0010000000000000ULL},   // smallest normal
+    {"1.0000000000000002", 0x3ff0000000000001ULL},
+};
 
 class TraceIoTest : public ::testing::Test {
  protected:
   void TearDown() override {
     std::remove(path_.c_str());
+  }
+  void write(const std::string& text) {
+    std::ofstream(path_, std::ios::trunc) << text;
   }
   // Per-test file name: ctest -jN runs cases of this fixture in
   // parallel processes, and a shared path races.
@@ -27,35 +60,29 @@ class TraceIoTest : public ::testing::Test {
       ".csv";
 };
 
-std::vector<CsiMeasurement> sample_capture(double seconds = 0.5) {
-  const channel::CabinScene scene = channel::make_cabin_scene();
-  const channel::ChannelModel model(scene, channel::SubcarrierGrid{},
-                                    channel::HeadScatterModel{});
-  WifiLink link(model, NoiseConfig{}, SchedulerConfig{}, util::Rng(17));
-  return link.capture(0.0, seconds, [&](double t) {
-    channel::CabinState st;
-    st.head.position = scene.driver_head_center;
-    st.head.theta = 0.5 * std::sin(3.0 * t);
-    return st;
-  });
-}
-
 TEST_F(TraceIoTest, CsiRoundTrip) {
-  const auto capture = sample_capture();
-  ASSERT_GT(capture.size(), 100u);
-  ASSERT_TRUE(write_csi_trace(path_, capture));
+  // Two antennas x two subcarriers: t, then (re, im) per subcarrier,
+  // antenna 0 first. Blank lines are skipped.
+  write("# vihot-csi v1 antennas=2 subcarriers=2\n"
+        "0.001,1,2,3,4,5,6,7,8\n"
+        "\n"
+        "0.0065,-1.5,0.25,0,-2e-3,1e3,-7,8.5,9\n");
   const auto loaded = read_csi_trace(path_);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), capture.size());
-  for (std::size_t i = 0; i < capture.size(); i += 37) {
-    EXPECT_NEAR((*loaded)[i].t, capture[i].t, 1e-9);
-    for (std::size_t f = 0; f < capture[i].num_subcarriers(); f += 7) {
-      EXPECT_NEAR(std::abs((*loaded)[i].h[0][f] - capture[i].h[0][f]), 0.0,
-                  1e-9);
-      EXPECT_NEAR(std::abs((*loaded)[i].h[1][f] - capture[i].h[1][f]), 0.0,
-                  1e-9);
-    }
-  }
+  ASSERT_EQ(loaded->size(), 2u);
+  const CsiMeasurement& a = (*loaded)[0];
+  EXPECT_EQ(a.t, 0.001);
+  ASSERT_EQ(a.num_subcarriers(), 2u);
+  EXPECT_EQ(a.h[0][0], std::complex<double>(1, 2));
+  EXPECT_EQ(a.h[0][1], std::complex<double>(3, 4));
+  EXPECT_EQ(a.h[1][0], std::complex<double>(5, 6));
+  EXPECT_EQ(a.h[1][1], std::complex<double>(7, 8));
+  const CsiMeasurement& b = (*loaded)[1];
+  EXPECT_EQ(b.t, 0.0065);
+  EXPECT_EQ(b.h[0][0], std::complex<double>(-1.5, 0.25));
+  EXPECT_EQ(b.h[0][1], std::complex<double>(0, -2e-3));
+  EXPECT_EQ(b.h[1][0], std::complex<double>(1e3, -7));
+  EXPECT_EQ(b.h[1][1], std::complex<double>(8.5, 9));
 }
 
 TEST_F(TraceIoTest, CsiMissingFile) {
@@ -63,182 +90,144 @@ TEST_F(TraceIoTest, CsiMissingFile) {
 }
 
 TEST_F(TraceIoTest, CsiRejectsBadHeader) {
-  std::ofstream os(path_);
-  os << "not a vihot trace\n1.0,0.5,0.5\n";
-  os.close();
+  write("not a vihot trace\n1.0,0.5,0.5\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRejectsTruncatedRow) {
-  const auto capture = sample_capture(0.05);
-  ASSERT_TRUE(write_csi_trace(path_, capture));
-  // Append a malformed row.
-  std::ofstream os(path_, std::ios::app);
-  os << "1.23,0.5,0.5\n";
-  os.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=1\n"
+        "0.5,1,0,1,0\n"
+        "1.23,0.5,0.5\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRejectsGarbageSubcarrierCount) {
   // Regression: a non-numeric count fed std::stoul, which throws instead
   // of returning nullopt.
-  std::ofstream os(path_);
-  os << "# vihot-csi v1 antennas=2 subcarriers=garbage\n1.0,0.5,0.5\n";
-  os.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=garbage\n1.0,0.5,0.5\n");
+  EXPECT_FALSE(read_csi_trace(path_).has_value());
+}
+
+TEST_F(TraceIoTest, CsiRejectsZeroSubcarriers) {
+  // Frames without subcarriers carry no phase: the sanitizer would read
+  // each as 0.0 and the tracker would run on them as if they held data.
+  write("# vihot-csi v1 antennas=2 subcarriers=0\n0.5\n1.0\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRejectsMissingOrWrongAntennaCount) {
-  std::ofstream os(path_);
-  os << "# vihot-csi v1 antennas=3 subcarriers=4\n";
-  os.close();
+  write("# vihot-csi v1 antennas=3 subcarriers=4\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
-
-  std::ofstream os2(path_);
-  os2 << "# vihot-csi v1 subcarriers=4\n";
-  os2.close();
+  write("# vihot-csi v1 subcarriers=4\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
-
-  std::ofstream os3(path_);
-  os3 << "# vihot-csi v1 antennas=x subcarriers=4\n";
-  os3.close();
+  write("# vihot-csi v1 antennas=x subcarriers=4\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRejectsAbsurdSubcarrierCount) {
   // A corrupt count must not drive a runaway reserve (or overflow).
-  std::ofstream os(path_);
-  os << "# vihot-csi v1 antennas=2 subcarriers=4000000000\n";
-  os.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=4000000000\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
-
-  std::ofstream os2(path_);
-  os2 << "# vihot-csi v1 antennas=2 subcarriers=99999999999999999999999\n";
-  os2.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=99999999999999999999999\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRejectsRowWiderThanHeader) {
   // A row carrying more values than the declared shape means header and
   // body disagree; silently truncating the frame would corrupt phases.
-  std::ofstream os(path_);
-  os << "# vihot-csi v1 antennas=2 subcarriers=1\n"
-     << "0.5,1.0,0.0,1.0,0.0,9.0,9.0\n";
-  os.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=1\n"
+        "0.5,1.0,0.0,1.0,0.0,9.0,9.0\n");
   EXPECT_FALSE(read_csi_trace(path_).has_value());
 }
 
 TEST_F(TraceIoTest, CsiRoundTripIsBitExactOverAwkwardDoubles) {
-  // Property test for the max_digits10 serialization fix: denormals,
-  // near-overflow magnitudes, negative zero and seeded random values
-  // must all reload with identical bit patterns (precision(12) lost up
-  // to 5 decimal digits here, which broke bit-exact replay of recorded
-  // traces).
-  const auto bits = [](double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-  };
-  std::vector<double> values = {0.1,    1.0 / 3.0, 3e-310, -3e-310, 5e-324,
-                                1.7e308, -1.7e308, -0.0,
-                                2.2250738585072014e-308};
-  util::Rng rng(99);
-  for (int i = 0; i < 64; ++i) {
-    // Spread mantissas across wildly different exponents.
-    values.push_back(rng.uniform(-1.0, 1.0) *
-                     std::pow(10.0, rng.uniform(-300.0, 300.0)));
+  // Every 17-digit decimal parses to exactly the double it names:
+  // denormals, near-overflow magnitudes and negative zero included, in
+  // every field of a frame.
+  std::string text = "# vihot-csi v1 antennas=2 subcarriers=1\n";
+  for (const Decimal& d : kAwkward) {
+    text += std::string(d.text) + ',' + d.text + ",-0," + d.text + ",1\n";
   }
-
-  std::vector<CsiMeasurement> capture;
-  for (std::size_t i = 0; i + 1 < values.size(); i += 2) {
-    CsiMeasurement m;
-    m.t = 0.001 * static_cast<double>(i);
-    m.h[0] = {{values[i], values[i + 1]}, {-values[i + 1], values[i]}};
-    m.h[1] = {{1.0, 0.0}, {0.0, -0.0}};
-    capture.push_back(m);
-  }
-  ASSERT_TRUE(write_csi_trace(path_, capture));
+  write(text);
   const auto loaded = read_csi_trace(path_);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), capture.size());
-  for (std::size_t i = 0; i < capture.size(); ++i) {
-    EXPECT_EQ(bits((*loaded)[i].t), bits(capture[i].t)) << "frame " << i;
-    for (int a = 0; a < 2; ++a) {
-      ASSERT_EQ((*loaded)[i].h[a].size(), capture[i].h[a].size());
-      for (std::size_t f = 0; f < capture[i].h[a].size(); ++f) {
-        EXPECT_EQ(bits((*loaded)[i].h[a][f].real()),
-                  bits(capture[i].h[a][f].real()))
-            << "frame " << i << " antenna " << a << " sc " << f;
-        EXPECT_EQ(bits((*loaded)[i].h[a][f].imag()),
-                  bits(capture[i].h[a][f].imag()))
-            << "frame " << i << " antenna " << a << " sc " << f;
-      }
-    }
+  ASSERT_EQ(loaded->size(), std::size(kAwkward));
+  for (std::size_t i = 0; i < std::size(kAwkward); ++i) {
+    const CsiMeasurement& m = (*loaded)[i];
+    const std::uint64_t want = kAwkward[i].bits;
+    EXPECT_EQ(bits(m.t), want) << kAwkward[i].text;
+    EXPECT_EQ(bits(m.h[0][0].real()), want) << kAwkward[i].text;
+    EXPECT_EQ(bits(m.h[0][0].imag()), bits(-0.0));
+    EXPECT_EQ(bits(m.h[1][0].real()), want) << kAwkward[i].text;
+  }
+
+  // Seeded property: any double printed as %.17g reads back the same,
+  // across wildly different exponents.
+  util::Rng rng(99);
+  std::vector<double> values;
+  text = "# vihot-csi v1 antennas=2 subcarriers=1\n";
+  for (int i = 0; i < 64; ++i) {
+    const double v = rng.uniform(-1.0, 1.0) *
+                     std::pow(10.0, rng.uniform(-300.0, 300.0));
+    values.push_back(v);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    text += std::to_string(i) + ',' + buf + ",0,1,0\n";
+  }
+  write(text);
+  const auto random = read_csi_trace(path_);
+  ASSERT_TRUE(random.has_value());
+  ASSERT_EQ(random->size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(bits((*random)[i].h[0][0].real()), bits(values[i]))
+        << "row " << i;
   }
 }
 
 TEST_F(TraceIoTest, ImuRoundTripIsBitExact) {
-  const auto bits = [](double v) {
-    std::uint64_t b = 0;
-    std::memcpy(&b, &v, sizeof b);
-    return b;
-  };
-  std::vector<imu::ImuSample> samples;
-  util::Rng rng(7);
-  for (int i = 0; i < 64; ++i) {
-    imu::ImuSample s;
-    s.t = 0.01 * i;
-    s.gyro_yaw_rad_s =
-        rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-300.0, 300.0));
-    s.accel_lateral_mps2 = (i % 2 == 0) ? -0.0 : 3e-310;
-    samples.push_back(s);
+  std::string text = "# vihot-imu v1\n";
+  for (const Decimal& d : kAwkward) {
+    text += std::string("0.5,") + d.text + ',' + d.text + '\n';
   }
-  ASSERT_TRUE(write_imu_trace(path_, samples));
+  write(text);
   const auto loaded = read_imu_trace(path_);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), samples.size());
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_EQ(bits((*loaded)[i].t), bits(samples[i].t));
-    EXPECT_EQ(bits((*loaded)[i].gyro_yaw_rad_s),
-              bits(samples[i].gyro_yaw_rad_s));
-    EXPECT_EQ(bits((*loaded)[i].accel_lateral_mps2),
-              bits(samples[i].accel_lateral_mps2));
+  ASSERT_EQ(loaded->size(), std::size(kAwkward));
+  for (std::size_t i = 0; i < std::size(kAwkward); ++i) {
+    EXPECT_EQ(bits((*loaded)[i].gyro_yaw_rad_s), kAwkward[i].bits)
+        << kAwkward[i].text;
+    EXPECT_EQ(bits((*loaded)[i].accel_lateral_mps2), kAwkward[i].bits)
+        << kAwkward[i].text;
   }
 }
 
 TEST_F(TraceIoTest, EmptyCaptureRoundTrips) {
-  ASSERT_TRUE(write_csi_trace(path_, {}));
+  // A well-formed header with no rows is an empty capture, not an error;
+  // `vihot_replay import` rejects it as holding no frames.
+  write("# vihot-csi v1 antennas=2 subcarriers=30\n");
   const auto loaded = read_csi_trace(path_);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_TRUE(loaded->empty());
 }
 
 TEST_F(TraceIoTest, ImuRoundTrip) {
-  std::vector<imu::ImuSample> samples;
-  for (int i = 0; i < 200; ++i) {
-    imu::ImuSample s;
-    s.t = 0.01 * i;
-    s.gyro_yaw_rad_s = 0.1 * std::sin(0.5 * i);
-    s.accel_lateral_mps2 = 0.6 * std::cos(0.3 * i);
-    samples.push_back(s);
-  }
-  ASSERT_TRUE(write_imu_trace(path_, samples));
+  write("# vihot-imu v1\n"
+        "0,0.125,-0.5\n"
+        "\n"
+        "0.01,-2.5e-3,0.75\n");
   const auto loaded = read_imu_trace(path_);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), samples.size());
-  for (std::size_t i = 0; i < samples.size(); i += 13) {
-    EXPECT_NEAR((*loaded)[i].t, samples[i].t, 1e-9);
-    EXPECT_NEAR((*loaded)[i].gyro_yaw_rad_s, samples[i].gyro_yaw_rad_s,
-                1e-9);
-    EXPECT_NEAR((*loaded)[i].accel_lateral_mps2,
-                samples[i].accel_lateral_mps2, 1e-9);
-  }
+  ASSERT_EQ(loaded->size(), 2u);
+  EXPECT_EQ((*loaded)[0].t, 0.0);
+  EXPECT_EQ((*loaded)[0].gyro_yaw_rad_s, 0.125);
+  EXPECT_EQ((*loaded)[0].accel_lateral_mps2, -0.5);
+  EXPECT_EQ((*loaded)[1].t, 0.01);
+  EXPECT_EQ((*loaded)[1].gyro_yaw_rad_s, -2.5e-3);
+  EXPECT_EQ((*loaded)[1].accel_lateral_mps2, 0.75);
 }
 
 TEST_F(TraceIoTest, ImuRejectsWrongMagic) {
-  std::ofstream os(path_);
-  os << "# vihot-csi v1 antennas=2 subcarriers=30\n";
-  os.close();
+  write("# vihot-csi v1 antennas=2 subcarriers=30\n");
   EXPECT_FALSE(read_imu_trace(path_).has_value());
 }
 

@@ -9,6 +9,10 @@
 //       fails on a corrupt log (divergences are reported, not fatal)
 //   vihot_replay inspect <log.vrlog>
 //       prints the log's header, session, feed and tick inventory
+//   vihot_replay import <prefix> <out.vrlog> --profile <calib.vrlog>
+//       tracks the text capture <prefix>.csi + <prefix>.imu against the
+//       one profile in <calib.vrlog> (e.g. a `vihot_sim --record` log)
+//       and writes the run as a .vrlog that verify replays bit-exactly
 //
 // --threads K replays with K workers instead of the recorded count —
 // estimates are thread-count invariant, so this is itself a determinism
@@ -22,6 +26,7 @@
 #include <string>
 
 #include "engine/ingest_ring.h"
+#include "replay/import.h"
 #include "replay/replayer.h"
 #include "util/parse_number.h"
 
@@ -35,6 +40,8 @@ namespace {
                "[--at-offset SECONDS] [--report PATH] [backend "
                "overrides]\n"
                "       %s inspect <log.vrlog>\n"
+               "       %s import <prefix> <out.vrlog> --profile "
+               "<calib.vrlog>\n"
                "--at-offset re-bases every timestamp by SECONDS (the "
                "load-generator workflow); bit-compare is skipped, the "
                "run must feed cleanly instead\n"
@@ -42,7 +49,7 @@ namespace {
                "unless the log was recorded with the same backends):\n"
                "  --sanitizer-backend eq3|kalman\n"
                "  --tracker-backend dtw|ekf\n",
-               argv0, argv0, argv0);
+               argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
@@ -54,12 +61,28 @@ bool emit_report(const std::string& report_path, const std::string& text) {
   return static_cast<bool>(os);
 }
 
+/// import <prefix> <out.vrlog> --profile <calib.vrlog>: a thin caller
+/// of replay::import_capture; --profile is required, nothing else fits.
+int import_main(int argc, char** argv) {
+  if (argc != 6 || std::strcmp(argv[4], "--profile") != 0) usage(argv[0]);
+  const vihot::replay::ImportResult r =
+      vihot::replay::import_capture(argv[2], argv[3], argv[5]);
+  if (!r.ok()) {
+    std::fprintf(stderr, "error: %s\n", r.error.c_str());
+    return 1;
+  }
+  std::printf("%s: imported %zu csi, %zu imu, %zu ticks\n", argv[3],
+              r.csi_frames, r.imu_samples, r.ticks);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vihot;
   if (argc < 3) usage(argv[0]);
   const std::string mode = argv[1];
+  if (mode == "import") return import_main(argc, argv);
   const std::string path = argv[2];
   replay::ReplayOptions options;
   std::string report_path;
