@@ -113,11 +113,4 @@ double KalmanPhaseSanitizer::sanitize(const wifi::CsiMeasurement& m) {
   return std::arg(acc);
 }
 
-void KalmanPhaseSanitizer::reset() {
-  state_.clear();
-  variance_.clear();
-  initialized_ = false;
-  last_t_ = 0.0;
-}
-
 }  // namespace vihot::core

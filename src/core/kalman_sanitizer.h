@@ -56,7 +56,6 @@ class KalmanPhaseSanitizer final : public PhaseSanitizer {
       : base_(base), config_(config) {}
 
   [[nodiscard]] double sanitize(const wifi::CsiMeasurement& m) override;
-  void reset() override;
   void set_stats(obs::TrackerStats* stats) override { stats_ = stats; }
   [[nodiscard]] SanitizerBackend backend() const noexcept override {
     return SanitizerBackend::kKalman;

@@ -53,9 +53,6 @@ class PhaseSanitizer {
   /// arrive in time order (the tracker's feed contract).
   [[nodiscard]] virtual double sanitize(const wifi::CsiMeasurement& m) = 0;
 
-  /// Drops any per-session filter state (e.g. after a feed gap).
-  virtual void reset() {}
-
   /// Reporting sink for per-backend counters (nullptr = off).
   virtual void set_stats(obs::TrackerStats* stats) = 0;
 

@@ -1,12 +1,22 @@
 #include "core/stability.h"
 
+#include <algorithm>
+#include <cmath>
+
+#include "obs/sink.h"
+
 namespace vihot::core {
+
+std::size_t csi_history_cap(double span_s) noexcept {
+  const double span = span_s > 0.0 ? std::min(span_s, 60.0) : 0.0;
+  return static_cast<std::size_t>(std::ceil(span * kMaxCsiFeedRateHz)) + 1;
+}
 
 StablePhaseDetector::StablePhaseDetector()
     : StablePhaseDetector(Config{}) {}
 
 StablePhaseDetector::StablePhaseDetector(const Config& config)
-    : config_(config) {}
+    : config_(config), max_samples_(csi_history_cap(config.window_s)) {}
 
 bool StablePhaseDetector::update(double t, double phase) {
   window_.push_back({t, phase});
@@ -18,6 +28,12 @@ bool StablePhaseDetector::update(double t, double phase) {
   while (!window_.empty() && window_.front().t < t - config_.window_s) {
     window_.pop_front();
     ++evicted_;
+  }
+  if (window_.size() > max_samples_) {
+    // Only a feed above kMaxCsiFeedRateHz gets here: one push, one pop.
+    window_.pop_front();
+    ++evicted_;
+    if (stats_ != nullptr) stats_->csi_history_capped.inc();
   }
   while (!min_q_.empty() && min_q_.front().seq < evicted_) min_q_.pop_front();
   while (!max_q_.empty() && max_q_.front().seq < evicted_) max_q_.pop_front();
@@ -36,14 +52,6 @@ bool StablePhaseDetector::update(double t, double phase) {
     mean_ = sum / static_cast<double>(window_.size());
   }
   return stable_;
-}
-
-void StablePhaseDetector::reset() {
-  window_.clear();
-  min_q_.clear();
-  max_q_.clear();
-  evicted_ = pushed_;
-  stable_ = false;
 }
 
 }  // namespace vihot::core

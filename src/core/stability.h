@@ -7,10 +7,27 @@
 // those flat stretches in the streaming phase.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 
+namespace vihot::obs {
+struct TrackerStats;
+}  // namespace vihot::obs
+
 namespace vihot::core {
+
+/// Highest CSI feed rate (frames/s) a session's sample histories are
+/// sized for: 10x the ~500 Hz of a clean simulated link, so no legitimate
+/// feed reaches the caps derived from it. A hostile feeder (equal or
+/// nanosecond-spaced timestamps) defeats the time-based trims; the caps
+/// bound its memory and per-frame work instead.
+inline constexpr double kMaxCsiFeedRateHz = 5000.0;
+
+/// Sample cap of a history spanning `span_s` seconds at kMaxCsiFeedRateHz.
+/// A non-finite, negative or absurd span (an unvalidated config field)
+/// is clamped to [0, 60] s, so the cap is always finite.
+[[nodiscard]] std::size_t csi_history_cap(double span_s) noexcept;
 
 /// Streaming flat-segment detector over (t, phase) samples.
 class StablePhaseDetector {
@@ -36,11 +53,18 @@ class StablePhaseDetector {
 
   [[nodiscard]] bool is_stable() const noexcept { return stable_; }
 
+  /// Samples in the current window (at most the window's sample cap).
+  [[nodiscard]] std::size_t window_size() const noexcept {
+    return window_.size();
+  }
+
+  /// Counts samples dropped past the sample cap into
+  /// stats->csi_history_capped (nullptr = off).
+  void set_stats(obs::TrackerStats* stats) noexcept { stats_ = stats; }
+
   /// Mean phase of the current stable window — the phi0_r of Eq. (4).
   /// Only meaningful while is_stable().
   [[nodiscard]] double stable_phase() const noexcept { return mean_; }
-
-  void reset();
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
@@ -50,6 +74,8 @@ class StablePhaseDetector {
     double phase;
   };
   Config config_;
+  std::size_t max_samples_;  ///< window_ sample cap (see csi_history_cap)
+  obs::TrackerStats* stats_ = nullptr;  ///< not owned; may be nullptr
   std::deque<Entry> window_;
   // Monotone deques over the samples in window_, tagged with their push
   // sequence number: phases increase front to back in min_q_ (front =

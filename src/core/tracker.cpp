@@ -16,6 +16,13 @@ namespace {
 // needs, so the stability detector always has a full window.
 constexpr double kBufferSlackS = 1.5;
 
+// History the phase buffer must cover: the longest candidate segment
+// (window x max_length_factor), a full stability window, and the slack.
+double history_span_s(const TrackerConfig& config) {
+  return config.matcher.window_s * config.matcher.max_length_factor +
+         config.stability.window_s + kBufferSlackS;
+}
+
 }  // namespace
 
 std::unique_ptr<PhaseSanitizer> make_phase_sanitizer(
@@ -53,12 +60,14 @@ ViHotTracker::ViHotTracker(std::shared_ptr<const CsiProfile> profile,
       sanitizer_(make_phase_sanitizer(config_)),
       backend_(make_orientation_backend(config_)),
       stability_(config_.stability),
-      arbiter_(config_.steering, config_.camera_staleness_s) {
+      arbiter_(config_.steering, config_.camera_staleness_s),
+      phase_cap_(csi_history_cap(history_span_s(config_))) {
   if (config_.sink != nullptr) {
     obs::TrackerStats* stats = &config_.sink->tracker;
     sanitizer_->set_stats(stats);
     backend_->set_stats(stats);
     arbiter_.set_stats(stats);
+    stability_.set_stats(stats);
   }
   // Until the first stable segment localizes the head, assume the middle
   // profiled position (the natural sitting position).
@@ -102,12 +111,19 @@ void ViHotTracker::push_csi(const wifi::CsiMeasurement& m) {
   phase_buffer_.push(m.t, rel);
 
   // Trim history we can no longer need.
-  const double keep_from = m.t - (config_.matcher.window_s *
-                                      config_.matcher.max_length_factor +
-                                  config_.stability.window_s + kBufferSlackS);
+  const double keep_from = m.t - history_span_s(config_);
   if (!phase_buffer_.empty() && phase_buffer_.front().t < keep_from &&
       phase_buffer_.size() > 4096) {
     phase_buffer_ = phase_buffer_.slice(keep_from, m.t);
+  }
+  // The time trim cannot shrink a burst of equal or nanosecond-spaced
+  // timestamps; the sample cap does, amortized O(1) per frame.
+  if (phase_buffer_.size() > 2 * phase_cap_) {
+    const std::size_t drop = phase_buffer_.size() - phase_cap_;
+    phase_buffer_.drop_front(drop);
+    if (config_.sink != nullptr) {
+      config_.sink->tracker.csi_history_capped.inc(drop);
+    }
   }
 
   // Stable phase -> the driver faces forward -> refresh the position
@@ -135,32 +151,6 @@ void ViHotTracker::push_csi(const wifi::CsiMeasurement& m) {
       }
     }
   }
-}
-
-void ViHotTracker::swap_profile(std::shared_ptr<const CsiProfile> profile) {
-  profile_ = profile ? std::move(profile)
-                     : std::make_shared<const CsiProfile>();
-  position_slot_ = profile_->size() / 2;
-  fingerprint_min_ = 0.0;
-  fingerprint_max_ = 0.0;
-  if (!profile_->empty()) {
-    fingerprint_min_ = profile_->positions.front().fingerprint_phase;
-    fingerprint_max_ = fingerprint_min_;
-    for (const PositionProfile& p : profile_->positions) {
-      fingerprint_min_ = std::min(fingerprint_min_, p.fingerprint_phase);
-      fingerprint_max_ = std::max(fingerprint_max_, p.fingerprint_phase);
-    }
-  }
-  // Everything derived from the old profile restarts: buffered phases
-  // (anchored to the old reference_phase), the cached match, the stable
-  // forward-phase calibration, and the backend's continuity state.
-  phase_buffer_ = util::TimeSeries{};
-  last_match_.reset();
-  have_stable_phi0_ = false;
-  last_stable_phi0_ = 0.0;
-  stale_pending_ = false;
-  stability_.reset();
-  backend_->relock_after_gap();
 }
 
 void ViHotTracker::push_imu(const imu::ImuSample& sample) {

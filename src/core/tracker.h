@@ -181,15 +181,6 @@ class ViHotTracker {
   /// harmless to stream continuously).
   void push_camera(const camera::CameraTracker::Estimate& estimate);
 
-  /// Replaces the profile mid-session (hot-swap after recalibration or a
-  /// copy-on-write profile update). The phase buffer and all match /
-  /// position-lock state restart against the new profile — stored phases
-  /// are relative to the OLD profile's reference anchor, so carrying them
-  /// across would corrupt every later match. The next estimates re-lock
-  /// exactly like after a stale-window feed gap. A null pointer swaps in
-  /// an empty profile (the tracker idles).
-  void swap_profile(std::shared_ptr<const CsiProfile> profile);
-
   /// Estimate the head orientation at `t_now` (<= last pushed CSI time).
   [[nodiscard]] TrackResult estimate(double t_now);
 
@@ -218,6 +209,15 @@ class ViHotTracker {
     return *backend_;
   }
 
+  /// Buffered sanitized-phase samples (at most twice the history's
+  /// sample cap) and the stable-phase detector (diagnostics / tests).
+  [[nodiscard]] std::size_t phase_history_size() const noexcept {
+    return phase_buffer_.size();
+  }
+  [[nodiscard]] const StablePhaseDetector& stability() const noexcept {
+    return stability_;
+  }
+
  private:
   std::shared_ptr<const CsiProfile> profile_;
   TrackerConfig config_;
@@ -233,6 +233,7 @@ class ViHotTracker {
 
   // Per-session state.
   util::TimeSeries phase_buffer_;  ///< relative sanitized phase
+  std::size_t phase_cap_ = 0;      ///< phase_buffer_ sample cap
   std::size_t position_slot_ = 0;
   double last_stable_phi0_ = 0.0;
   bool have_stable_phi0_ = false;

@@ -81,7 +81,6 @@ long Stream::recv_some(unsigned char* out, std::size_t n, int timeout_ms) {
 }
 
 void Stream::shutdown_read() { ::shutdown(fd_.get(), SHUT_RD); }
-void Stream::shutdown_write() { ::shutdown(fd_.get(), SHUT_WR); }
 void Stream::shutdown_both() { ::shutdown(fd_.get(), SHUT_RDWR); }
 
 Listener::~Listener() { close(); }

@@ -57,11 +57,10 @@ class Stream {
   /// With timeout_ms >= 0, returns -2 if nothing arrived in time.
   long recv_some(unsigned char* out, std::size_t n, int timeout_ms = -1);
 
-  /// Half-close: SHUT_RD unblocks a reader, SHUT_WR signals EOF to the
-  /// peer, SHUT_RDWR both. Safe from another thread (the fd stays open,
-  /// so there is no close/reuse race).
+  /// Half-close: SHUT_RD unblocks a reader, SHUT_RDWR also signals EOF
+  /// to the peer. Safe from another thread (the fd stays open, so there
+  /// is no close/reuse race).
   void shutdown_read();
-  void shutdown_write();
   void shutdown_both();
 
   void close() { fd_.reset(); }

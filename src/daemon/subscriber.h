@@ -58,7 +58,7 @@ class SubscriberHub {
 
   /// Registers a subscriber writing to `conn` (shared with the daemon's
   /// connection bookkeeping; the hub only ever calls send_all /
-  /// shutdown_write on it). Returns its id.
+  /// shutdown_both on it). Returns its id.
   std::uint64_t add(std::shared_ptr<Stream> conn,
                     const SubscriberOptions& options);
 

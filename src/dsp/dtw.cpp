@@ -11,11 +11,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-double local_cost(double x, double y) noexcept {
-  const double d = x - y;
-  return d * d;
-}
-
 }  // namespace
 
 std::size_t dtw_band_cells(const DtwOptions& options, std::size_t n,
@@ -80,66 +75,6 @@ double dtw_distance_normalized(std::span<const double> a,
   const double d = dtw_distance(a, b, options);
   if (d == kInf) return kInf;
   return d / static_cast<double>(a.size() + b.size());
-}
-
-DtwAlignment dtw_align(std::span<const double> a, std::span<const double> b,
-                       const DtwOptions& options) {
-  DtwAlignment out;
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  if (n == 0 || m == 0) return out;
-
-  std::vector<std::size_t> j_lo(n + 1);
-  std::vector<std::size_t> j_hi(n + 1);
-  dtw_band_geometry(n, m, dtw_band_cells(options, n, m), j_lo.data(),
-                    j_hi.data());
-  std::vector<std::vector<double>> dp(n + 1,
-                                      std::vector<double>(m + 1, kInf));
-  dp[0][0] = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    double row_min = kInf;
-    for (std::size_t j = j_lo[i]; j <= j_hi[i]; ++j) {
-      const double best_prev =
-          std::min({dp[i - 1][j], dp[i - 1][j - 1], dp[i][j - 1]});
-      if (best_prev == kInf) continue;
-      dp[i][j] = best_prev + local_cost(a[i - 1], b[j - 1]);
-      row_min = std::min(row_min, dp[i][j]);
-    }
-    // Same early-abandon contract as dtw_distance: a row whose best cell
-    // already exceeds the threshold cannot recover.
-    if (row_min > options.abandon_above) return DtwAlignment{};
-  }
-  out.distance = dp[n][m];
-  if (out.distance == kInf) return out;
-
-  // Backtrack from (n, m) to (1, 1). Every finite cell has at least one
-  // finite predecessor by construction, and the selection below never
-  // picks an infinite one (a tie on kInf would need all three infinite),
-  // so the walk stays inside the band and cannot underflow the indices.
-  std::size_t i = n;
-  std::size_t j = m;
-  out.path.emplace_back(i - 1, j - 1);
-  while (i > 1 || j > 1) {
-    const double up = (i > 1) ? dp[i - 1][j] : kInf;
-    const double left = (j > 1) ? dp[i][j - 1] : kInf;
-    const double diag_v = (i > 1 && j > 1) ? dp[i - 1][j - 1] : kInf;
-    if (diag_v == kInf && up == kInf && left == kInf) {
-      // Band-border defect: no finite predecessor. Cannot happen for a
-      // finite cell; fail closed instead of stepping into kInf.
-      return DtwAlignment{};
-    }
-    if (diag_v <= up && diag_v <= left) {
-      --i;
-      --j;
-    } else if (up <= left) {
-      --i;
-    } else {
-      --j;
-    }
-    out.path.emplace_back(i - 1, j - 1);
-  }
-  std::reverse(out.path.begin(), out.path.end());
-  return out;
 }
 
 double dtw_lower_bound(std::span<const double> a,

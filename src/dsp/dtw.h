@@ -45,7 +45,7 @@ struct DtwOptions {
                                   std::span<const double> b,
                                   const DtwOptions& options = {});
 
-/// Sakoe-Chiba band half-width in cells that dtw_distance / dtw_align use
+/// Sakoe-Chiba band half-width in cells that dtw_distance uses
 /// for an (n, m) problem under `options` (the band is widened to at least
 /// the |n - m| slope gap so the end cell stays reachable). Exposed so
 /// lower-bound precomputations can mirror the kernel's exact geometry.
@@ -67,19 +67,6 @@ void dtw_band_geometry(std::size_t n, std::size_t m, std::size_t band,
 [[nodiscard]] double dtw_distance_normalized(std::span<const double> a,
                                              std::span<const double> b,
                                              const DtwOptions& options = {});
-
-/// Full DTW with warp-path extraction (O(n*m) memory). The path is a list
-/// of (i, j) index pairs from (0, 0) to (n-1, m-1). Honors both DtwOptions
-/// fields: when a whole DP row exceeds `abandon_above` the alignment is
-/// abandoned and the result is empty (infinite distance, empty path), and
-/// the backtrack never steps outside the banded (finite) region.
-struct DtwAlignment {
-  double distance = std::numeric_limits<double>::infinity();
-  std::vector<std::pair<std::size_t, std::size_t>> path;
-};
-[[nodiscard]] DtwAlignment dtw_align(std::span<const double> a,
-                                     std::span<const double> b,
-                                     const DtwOptions& options = {});
 
 /// LB_Kim-style endpoint bound from raw endpoint values: the first and
 /// last elements of the two series must align in any warp path, so their

@@ -55,37 +55,4 @@ void ifft_in_place(std::span<std::complex<double>> x) {
   transform(x, true);
 }
 
-std::vector<std::complex<double>> fft(
-    std::span<const std::complex<double>> x) {
-  std::vector<std::complex<double>> out(x.begin(), x.end());
-  fft_in_place(out);
-  return out;
-}
-
-std::vector<std::complex<double>> ifft(
-    std::span<const std::complex<double>> x) {
-  std::vector<std::complex<double>> out(x.begin(), x.end());
-  ifft_in_place(out);
-  return out;
-}
-
-std::vector<double> power_spectrum(std::span<const double> xs) {
-  std::size_t n = 1;
-  while (n * 2 <= xs.size()) n *= 2;
-  std::vector<std::complex<double>> buf(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Hann window suppresses leakage from the finite record.
-    const double w =
-        0.5 * (1.0 - std::cos(util::kTwoPi * static_cast<double>(i) /
-                              static_cast<double>(n - 1)));
-    buf[i] = xs[i] * w;
-  }
-  fft_in_place(buf);
-  std::vector<double> out(n / 2 + 1);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    out[k] = std::norm(buf[k]);
-  }
-  return out;
-}
-
 }  // namespace vihot::dsp

@@ -8,7 +8,6 @@
 
 #include <complex>
 #include <span>
-#include <vector>
 
 namespace vihot::dsp {
 
@@ -18,17 +17,6 @@ void fft_in_place(std::span<std::complex<double>> x);
 
 /// In-place inverse FFT (includes the 1/N normalization).
 void ifft_in_place(std::span<std::complex<double>> x);
-
-/// Out-of-place convenience wrappers.
-[[nodiscard]] std::vector<std::complex<double>> fft(
-    std::span<const std::complex<double>> x);
-[[nodiscard]] std::vector<std::complex<double>> ifft(
-    std::span<const std::complex<double>> x);
-
-/// Power spectrum |FFT|^2 of a real series, Hann-windowed; returns the
-/// one-sided spectrum (size n/2 + 1 for even n). The input is truncated
-/// to the largest power of two.
-[[nodiscard]] std::vector<double> power_spectrum(std::span<const double> xs);
 
 /// True if n is a nonzero power of two.
 [[nodiscard]] constexpr bool is_pow2(std::size_t n) noexcept {

@@ -1,27 +1,8 @@
 #include "dsp/filters.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/stats.h"
 
 namespace vihot::dsp {
-
-namespace {
-
-// Clamped neighborhood [i - half, i + half] within [0, n).
-struct Neighborhood {
-  std::size_t lo;
-  std::size_t hi;  // inclusive
-};
-
-Neighborhood neighborhood(std::size_t i, std::size_t half, std::size_t n) {
-  const std::size_t lo = (i >= half) ? i - half : 0;
-  const std::size_t hi = std::min(i + half, n - 1);
-  return {lo, hi};
-}
-
-}  // namespace
 
 std::vector<double> moving_average(std::span<const double> xs,
                                    std::size_t window) {
@@ -29,113 +10,12 @@ std::vector<double> moving_average(std::span<const double> xs,
   if (xs.size() < 2 || window <= 1) return out;
   const std::size_t half = window / 2;
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto [lo, hi] = neighborhood(i, half, xs.size());
+    // Clamped neighborhood [i - half, i + half] within [0, n).
+    const std::size_t lo = (i >= half) ? i - half : 0;
+    const std::size_t hi = std::min(i + half, xs.size() - 1);
     double s = 0.0;
     for (std::size_t j = lo; j <= hi; ++j) s += xs[j];
     out[i] = s / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<double> moving_median(std::span<const double> xs,
-                                  std::size_t window) {
-  std::vector<double> out(xs.begin(), xs.end());
-  if (xs.size() < 2 || window <= 1) return out;
-  const std::size_t half = window / 2;
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto [lo, hi] = neighborhood(i, half, xs.size());
-    scratch.assign(xs.begin() + static_cast<std::ptrdiff_t>(lo),
-                   xs.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-    auto mid = scratch.begin() +
-               static_cast<std::ptrdiff_t>(scratch.size() / 2);
-    std::nth_element(scratch.begin(), mid, scratch.end());
-    double m = *mid;
-    if (scratch.size() % 2 == 0) {
-      const double lower =
-          *std::max_element(scratch.begin(), mid);
-      m = 0.5 * (m + lower);
-    }
-    out[i] = m;
-  }
-  return out;
-}
-
-std::vector<double> exponential_smooth(std::span<const double> xs,
-                                       double alpha) {
-  std::vector<double> out;
-  out.reserve(xs.size());
-  if (xs.empty()) return out;
-  const double a = std::clamp(alpha, 1e-9, 1.0);
-  double state = xs.front();
-  for (const double x : xs) {
-    state = a * x + (1.0 - a) * state;
-    out.push_back(state);
-  }
-  return out;
-}
-
-HampelResult hampel_filter(std::span<const double> xs, std::size_t window,
-                           double n_sigmas) {
-  HampelResult res;
-  res.values.assign(xs.begin(), xs.end());
-  if (xs.size() < 3 || window < 3) return res;
-  // 1.4826 scales the median absolute deviation to a Gaussian sigma.
-  constexpr double kMadToSigma = 1.4826;
-  const std::size_t half = window / 2;
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto [lo, hi] = neighborhood(i, half, xs.size());
-    scratch.assign(xs.begin() + static_cast<std::ptrdiff_t>(lo),
-                   xs.begin() + static_cast<std::ptrdiff_t>(hi + 1));
-    const double med = util::median(scratch);
-    for (double& v : scratch) v = std::abs(v - med);
-    const double mad = util::median(scratch);
-    const double sigma = kMadToSigma * mad;
-    if (sigma > 0.0 && std::abs(xs[i] - med) > n_sigmas * sigma) {
-      res.values[i] = med;
-      ++res.replaced;
-    }
-  }
-  return res;
-}
-
-std::vector<double> z_normalize(std::span<const double> xs) {
-  std::vector<double> out(xs.begin(), xs.end());
-  if (xs.empty()) return out;
-  const double m = util::mean(xs);
-  const double s = util::stddev(xs);
-  // Effectively-constant series (stddev at rounding-noise level) map to
-  // zeros instead of amplified numerical dust.
-  if (s <= 1e-12 * std::max(1.0, std::abs(m))) {
-    std::fill(out.begin(), out.end(), 0.0);
-    return out;
-  }
-  for (double& v : out) v = (v - m) / s;
-  return out;
-}
-
-std::vector<double> diff(std::span<const double> xs) {
-  std::vector<double> out;
-  if (xs.size() < 2) return out;
-  out.reserve(xs.size() - 1);
-  for (std::size_t i = 1; i < xs.size(); ++i) {
-    out.push_back(xs[i] - xs[i - 1]);
-  }
-  return out;
-}
-
-std::vector<double> rolling_stddev(std::span<const double> xs,
-                                   std::size_t window) {
-  std::vector<double> out(xs.size(), 0.0);
-  if (xs.empty() || window < 2) return out;
-  // Centered neighborhood like every other filter in this file (the
-  // historical implementation used a trailing window, out of step with
-  // the rest; see filters.h for the pinned edge semantics).
-  const std::size_t half = window / 2;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const auto [lo, hi] = neighborhood(i, half, xs.size());
-    out[i] = util::stddev(xs.subspan(lo, hi - lo + 1));
   }
   return out;
 }

@@ -1,8 +1,8 @@
-// Scalar-series filters used to clean CSI phase streams.
+// Scalar-series smoothing used to clean CSI phase streams for plotting.
 //
 // The sanitizer (core/sanitizer.h) removes CFO/SFO structurally via the
-// antenna phase difference; what remains is thermal noise (Z in Eq. 2) and
-// occasional bursty-motion outliers, which these filters target.
+// antenna phase difference; what remains is thermal noise (Z in Eq. 2),
+// which a centered moving average smooths out of the Fig. 3 curves.
 #pragma once
 
 #include <cstddef>
@@ -14,42 +14,6 @@ namespace vihot::dsp {
 /// Centered moving average with the given odd window (edges use the
 /// available neighborhood). window == 1 returns the input unchanged.
 [[nodiscard]] std::vector<double> moving_average(std::span<const double> xs,
-                                                 std::size_t window);
-
-/// Centered moving median, robust to impulsive outliers.
-[[nodiscard]] std::vector<double> moving_median(std::span<const double> xs,
-                                                std::size_t window);
-
-/// Exponential smoothing, alpha in (0, 1]; alpha == 1 is a pass-through.
-[[nodiscard]] std::vector<double> exponential_smooth(
-    std::span<const double> xs, double alpha);
-
-/// Hampel outlier rejection: samples further than `n_sigmas` scaled MADs
-/// from the local median are replaced by that median. Returns the filtered
-/// series and the number of replaced samples.
-struct HampelResult {
-  std::vector<double> values;
-  std::size_t replaced = 0;
-};
-[[nodiscard]] HampelResult hampel_filter(std::span<const double> xs,
-                                         std::size_t window,
-                                         double n_sigmas = 3.0);
-
-/// Z-normalization: (x - mean) / stddev. A constant series maps to zeros.
-[[nodiscard]] std::vector<double> z_normalize(std::span<const double> xs);
-
-/// First difference: out[i] = xs[i+1] - xs[i] (length n-1; empty if n < 2).
-[[nodiscard]] std::vector<double> diff(std::span<const double> xs);
-
-/// Rolling standard deviation over a CENTERED window, consistent with
-/// every other windowed filter in this file: out[i] covers the clamped
-/// neighborhood [i - window/2, i + window/2] within the series, so edge
-/// outputs (the first and last window/2 samples) use the shorter clamped
-/// neighborhood rather than a trailing warm-up. window < 2 returns
-/// zeros. (Historical note: this was a trailing window before the
-/// convention was unified; the edge behavior is pinned by
-/// FiltersTest.RollingStddevRampUpRegionPinned.)
-[[nodiscard]] std::vector<double> rolling_stddev(std::span<const double> xs,
                                                  std::size_t window);
 
 }  // namespace vihot::dsp

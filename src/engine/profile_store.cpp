@@ -1,5 +1,6 @@
 #include "engine/profile_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -123,15 +124,22 @@ std::shared_ptr<const core::CsiProfile> ProfileStore::intern(
       ++expired;
     }
   }
-  if (stats_ != nullptr && expired > 0) stats_->evicted.inc(expired);
   auto fresh = std::make_shared<const core::CsiProfile>(std::move(profile));
   index_.emplace(hash, fresh);
   if (stats_ != nullptr) stats_->interned.inc();
+  // Distinct profiles land in distinct buckets, so the bucket sweep above
+  // never reaches their corpses. A full sweep once the index has doubled
+  // keeps it within ~2x the live profiles; its O(index) cost is paid for
+  // by the index/2 interns since the last one.
+  if (index_.size() >= sweep_at_) {
+    expired += sweep_locked();
+    sweep_at_ = std::max(2 * index_.size(), kMinSweepAt);
+  }
+  if (stats_ != nullptr && expired > 0) stats_->evicted.inc(expired);
   return fresh;
 }
 
-std::size_t ProfileStore::evict_expired() {
-  std::lock_guard<std::mutex> lk(mu_);
+std::size_t ProfileStore::sweep_locked() {
   std::size_t removed = 0;
   for (auto it = index_.begin(); it != index_.end();) {
     if (it->second.expired()) {
@@ -141,7 +149,6 @@ std::size_t ProfileStore::evict_expired() {
       ++it;
     }
   }
-  if (stats_ != nullptr && removed > 0) stats_->evicted.inc(removed);
   return removed;
 }
 
@@ -157,11 +164,6 @@ std::size_t ProfileStore::live_count() const {
 std::size_t ProfileStore::index_size() const {
   std::lock_guard<std::mutex> lk(mu_);
   return index_.size();
-}
-
-ProfileStore& ProfileStore::global() {
-  static ProfileStore store;  // intentionally leaked-at-exit singleton
-  return store;
 }
 
 }  // namespace vihot::engine

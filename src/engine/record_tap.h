@@ -34,7 +34,6 @@
 // sample synchronously (in file order, between the recorded ticks) and
 // reproduces the estimates bit-exactly; the live run's overload-policy
 // verdicts are baked into which samples appear in the log at all.
-// estimate_one() bypasses the tick hooks and is not captured.
 //
 // Implementations must tolerate concurrent calls: feed hooks fire under
 // per-session locks (different sessions in parallel, including from the

@@ -15,9 +15,7 @@ TrackerEngine::TrackerEngine(const Config& config)
       router_(config.ingest.lanes != 0
                   ? config.ingest.lanes
                   : std::max<std::size_t>(config.num_threads, 1)),
-      own_profile_store_(config.sink ? &config.sink->profile_store : nullptr),
-      profile_store_(config.profiles != nullptr ? config.profiles
-                                                : &own_profile_store_) {
+      profile_store_(config.sink ? &config.sink->profile_store : nullptr) {
   if (tap_ != nullptr) {
     tap_->on_engine_start(EngineDescriptor{config.num_threads, config.ingest});
   }
@@ -25,7 +23,7 @@ TrackerEngine::TrackerEngine(const Config& config)
 
 std::shared_ptr<const core::CsiProfile> TrackerEngine::add_profile(
     core::CsiProfile profile) {
-  return profile_store_->intern(std::move(profile));
+  return profile_store_.intern(std::move(profile));
 }
 
 SessionId TrackerEngine::create_session(
@@ -172,33 +170,6 @@ std::size_t TrackerEngine::drain_locked() {
   };
   pool_.run(router_.num_lanes(), lane_job);
   return total.load(std::memory_order_relaxed);
-}
-
-std::optional<core::TrackResult> TrackerEngine::estimate_one(SessionId id,
-                                                             double t_now) {
-  std::shared_lock<std::shared_mutex> lk(roster_mu_);
-  TrackerSession* s = find(id);
-  if (!s) return std::nullopt;
-  s->drain();
-  return s->estimate(t_now);
-}
-
-std::optional<core::Forecast> TrackerEngine::forecast_one(SessionId id,
-                                                          double horizon_s) {
-  std::shared_lock<std::shared_mutex> lk(roster_mu_);
-  TrackerSession* s = find(id);
-  if (!s) return std::nullopt;
-  return s->forecast(horizon_s);
-}
-
-bool TrackerEngine::swap_profile(
-    SessionId id, std::shared_ptr<const core::CsiProfile> profile) {
-  std::shared_lock<std::shared_mutex> lk(roster_mu_);
-  TrackerSession* s = find(id);
-  if (!s) return false;
-  s->swap_profile(std::move(profile));
-  if (sink_ != nullptr) sink_->engine.profile_swaps.inc();
-  return true;
 }
 
 std::span<const core::TrackResult> TrackerEngine::estimate_all(double t_now) {

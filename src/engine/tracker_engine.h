@@ -7,10 +7,9 @@
 //   * the profiles, interned through a content-addressed ProfileStore
 //     as std::shared_ptr<const CsiProfile>: one profile feeds any number
 //     of sessions with zero copies, byte-identical profiles dedupe to a
-//     single allocation (even across engines sharing a store), and a
-//     profile lives exactly as long as a session (or the caller) still
-//     references it — the store holds only weak entries, so the engine
-//     never pins profiles it no longer serves;
+//     single allocation, and a profile lives exactly as long as a session
+//     (or the caller) still references it — the store holds only weak
+//     entries, so the engine never pins profiles it no longer serves;
 //   * N independent TrackerSessions, addressed by SessionId
 //     (create / feed / estimate / destroy);
 //   * an async ingest front-end: per-session bounded lock-free rings
@@ -30,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <unordered_map>
@@ -173,19 +171,6 @@ class TrackerSession {
     std::lock_guard<std::mutex> lk(mu_);
     return tracker_.estimate(t_now);
   }
-  [[nodiscard]] core::Forecast forecast(double horizon_s) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return tracker_.forecast(horizon_s);
-  }
-
-  /// Hot-swaps the profile mid-drive (recalibration, COW update). Runs
-  /// under the session lock, so it serializes against estimates and the
-  /// drain step; the tracker restarts its match state and re-locks
-  /// against the new profile on the next estimates.
-  void swap_profile(std::shared_ptr<const core::CsiProfile> profile) {
-    std::lock_guard<std::mutex> lk(mu_);
-    tracker_.swap_profile(std::move(profile));
-  }
 
  private:
   // The locked apply paths are the flight recorder's capture point: a
@@ -260,12 +245,6 @@ class TrackerEngine {
     /// boundary (see engine/record_tap.h). Not owned; must outlive the
     /// engine. nullptr = recording off, zero overhead.
     RecordTap* tap = nullptr;
-
-    /// Profile interning store backing add_profile(). nullptr = the
-    /// engine uses its own private store. Point several engines at one
-    /// store to dedupe identical profiles across all of them. Not owned;
-    /// must outlive the engine.
-    ProfileStore* profiles = nullptr;
   };
 
   TrackerEngine() : TrackerEngine(Config{}) {}
@@ -279,12 +258,6 @@ class TrackerEngine {
   /// engine or outside it).
   std::shared_ptr<const core::CsiProfile> add_profile(
       core::CsiProfile profile);
-
-  /// The store add_profile() interns into (the engine's own unless
-  /// Config::profiles pointed it elsewhere).
-  [[nodiscard]] ProfileStore& profile_store() noexcept {
-    return *profile_store_;
-  }
 
   /// Creates one session against a shared profile. The profile pointer
   /// may come from add_profile() or anywhere else.
@@ -333,29 +306,6 @@ class TrackerEngine {
   /// samples applied. estimate_all() runs this implicitly before every
   /// tick; call it directly to bound queue latency between ticks.
   std::size_t drain();
-
-  /// Estimates one session immediately on the calling thread (draining
-  /// its ingest queues first). nullopt for unknown ids — a failed LOOKUP
-  /// is not a failed ESTIMATE, so it is surfaced as the absence of a
-  /// result instead of a value-initialized TrackResult that a caller
-  /// could mistake for "tracker not locked yet" (both read
-  /// valid == false); counted as engine.unknown_session.
-  [[nodiscard]] std::optional<core::TrackResult> estimate_one(SessionId id,
-                                                              double t_now);
-
-  /// Forecast for one session (Eq. 6), past its last estimate. nullopt
-  /// for unknown ids (counted as engine.unknown_session), like
-  /// estimate_one.
-  [[nodiscard]] std::optional<core::Forecast> forecast_one(SessionId id,
-                                                           double horizon_s);
-
-  /// Hot-swaps one session's profile mid-drive (recalibration or a
-  /// ProfileStore::cow update): the session restarts its match state
-  /// and re-locks against the new profile on its next estimates, while
-  /// other sessions keep the old snapshot alive until they swap too.
-  /// False for unknown ids (counted as engine.unknown_session).
-  bool swap_profile(SessionId id,
-                    std::shared_ptr<const core::CsiProfile> profile);
 
   /// One batch tick: drains the ingest lanes, then estimates EVERY live
   /// session at `t_now`, fanned out across the worker pool. Returns
@@ -414,8 +364,7 @@ class TrackerEngine {
 
   /// Content-addressed interning behind add_profile(): weak entries
   /// only, so the engine never extends a profile's lifetime.
-  ProfileStore own_profile_store_;
-  ProfileStore* profile_store_ = nullptr;  ///< the store in use
+  ProfileStore profile_store_;
 };
 
 }  // namespace vihot::engine

@@ -79,35 +79,6 @@ void Histogram::reset() noexcept {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-Registry::Entry* Registry::find(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-Counter& Registry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (Entry* e = find(name); e != nullptr && e->counter != nullptr) {
-    // Owned counters are the only mutable path back out of the registry.
-    return const_cast<Counter&>(*e->counter);
-  }
-  owned_counters_.push_back(std::make_unique<Counter>());
-  entries_.push_back({name, owned_counters_.back().get(), nullptr});
-  return *owned_counters_.back();
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::initializer_list<double> bounds) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (Entry* e = find(name); e != nullptr && e->histogram != nullptr) {
-    return const_cast<Histogram&>(*e->histogram);
-  }
-  owned_histograms_.push_back(std::make_unique<Histogram>(bounds));
-  entries_.push_back({name, nullptr, owned_histograms_.back().get()});
-  return *owned_histograms_.back();
-}
-
 void Registry::attach(const std::string& name, const Counter& c) {
   std::lock_guard<std::mutex> lk(mu_);
   entries_.push_back({name, &c, nullptr});
@@ -116,19 +87,6 @@ void Registry::attach(const std::string& name, const Counter& c) {
 void Registry::attach(const std::string& name, const Histogram& h) {
   std::lock_guard<std::mutex> lk(mu_);
   entries_.push_back({name, nullptr, &h});
-}
-
-std::size_t Registry::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return entries_.size();
-}
-
-std::uint64_t Registry::counter_value(const std::string& name) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  for (const Entry& e : entries_) {
-    if (e.name == name && e.counter != nullptr) return e.counter->value();
-  }
-  return 0;
 }
 
 void Registry::write_json(std::ostream& os) const {

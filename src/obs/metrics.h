@@ -10,9 +10,8 @@
 //   * a Histogram's buckets are fixed at construction (bounded storage,
 //     no per-observation allocation) the way Prometheus client
 //     histograms work;
-//   * the Registry is a naming directory: it can OWN metrics created
-//     through it, or merely ATTACH externally-owned ones (the fixed
-//     structs of sink.h), and renders both the same way;
+//   * the Registry is a naming directory over externally-owned metrics
+//     (the fixed structs of sink.h, attached by name); it owns none;
 //   * snapshots are read-only and tolerate concurrent writers — the
 //     numbers are a consistent-enough view for telemetry, not a
 //     linearizable cut.
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -102,30 +100,17 @@ class Histogram {
   std::atomic<double> max_{0.0};
 };
 
-/// Names metrics and snapshots them. Owned metrics (counter()/histogram())
-/// have stable addresses for the registry's lifetime; attached metrics
-/// must outlive it.
+/// Names metrics and snapshots them. Attached metrics must outlive the
+/// registry.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Creates (or returns the existing) owned counter named `name`.
-  Counter& counter(const std::string& name);
-  /// Creates (or returns the existing) owned histogram named `name`.
-  Histogram& histogram(const std::string& name,
-                       std::initializer_list<double> bounds);
-
   /// Registers externally-owned metrics under `name` (no ownership).
   void attach(const std::string& name, const Counter& c);
   void attach(const std::string& name, const Histogram& h);
-
-  [[nodiscard]] std::size_t size() const;
-
-  /// Snapshot value of a named counter; 0 for unknown names (test/debug
-  /// convenience — production readers consume the serialized forms).
-  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const;
 
   /// One JSON object: {"counters": {...}, "histograms": {...}}.
   void write_json(std::ostream& os) const;
@@ -139,14 +124,8 @@ class Registry {
     const Histogram* histogram = nullptr;  // is non-null
   };
 
-  Entry* find(const std::string& name);
-
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
-  // Owned metrics live here; unique_ptr keeps addresses stable across
-  // entries_ growth.
-  std::vector<std::unique_ptr<Counter>> owned_counters_;
-  std::vector<std::unique_ptr<Histogram>> owned_histograms_;
 };
 
 }  // namespace vihot::obs

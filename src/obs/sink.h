@@ -51,6 +51,9 @@ namespace vihot::obs {
   C(mode_fallback, "mode_fallback")       /* served in camera fallback */ \
   C(csi_out_of_order, "csi_out_of_order") /* stale-timestamp drops */     \
   C(csi_non_finite, "csi_non_finite")     /* NaN/Inf frame drops */       \
+  /* Oldest phase-history samples dropped past the per-session sample     \
+     cap (a feed far above kMaxCsiFeedRateHz, e.g. equal timestamps). */  \
+  C(csi_history_capped, "csi_history_capped")                             \
                                                                           \
   /* Stage 1: ModeArbiter. */                                             \
   C(fallback_engaged, "fallback_engaged") /* CSI -> camera fallback */    \
@@ -151,16 +154,12 @@ struct TrackerStatsSnapshot {
                                                                             \
   C(sessions_created, "sessions_created")                                   \
   C(sessions_destroyed, "sessions_destroyed")                               \
-  /* Per-session API calls (push/offer/estimate_one/forecast_one/           \
-     swap_profile/destroy_session) that named a SessionId the engine        \
-     does not serve. A nonzero rate means a caller is racing                \
-     destroy_session or holding a stale handle — the lookup failure is      \
-     surfaced explicitly (std::optional / false), never as a                \
-     value-initialized result. */                                           \
+  /* Per-session API calls (push/offer/destroy_session) that named a       \
+     SessionId the engine does not serve. A nonzero rate means a caller     \
+     is racing destroy_session or holding a stale handle — the lookup       \
+     failure is surfaced explicitly (false), never as a silently dropped    \
+     sample. */                                                             \
   C(unknown_session, "unknown_session")                                     \
-                                                                            \
-  /* Mid-drive profile hot-swaps applied (TrackerEngine::swap_profile). */  \
-  C(profile_swaps, "profile_swaps")                                         \
                                                                             \
   /* Accepted per-session feeds (feed rate = counter delta / wall time). */ \
   C(csi_frames, "csi_frames")                                               \

@@ -166,11 +166,11 @@ LoadedLog LoadedLog::load(const std::string& path) {
       case ChunkType::kTickEnd:
         break;
       case ChunkType::kFooter: {
-        in.get_u64();  // csi
-        in.get_u64();  // imu
-        in.get_u64();  // camera
-        in.get_u64();  // ticks
-        in.get_u64();  // sessions
+        (void)in.get_u64();  // csi
+        (void)in.get_u64();  // imu
+        (void)in.get_u64();  // camera
+        (void)in.get_u64();  // ticks
+        (void)in.get_u64();  // sessions
         log.summary_.staging_drops = in.get_u64();
         log.summary_.truncated = in.get_u8() != 0;
         if (!in.ok()) {

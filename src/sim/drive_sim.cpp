@@ -74,10 +74,6 @@ motion::HeadState DriveSession::head_at(double t) const {
   return trajectory_->at(t);
 }
 
-std::size_t DriveSession::num_occupants() const noexcept {
-  return occupants_.size();
-}
-
 bool DriveSession::occupant_present(std::size_t index,
                                     double t) const noexcept {
   if (index >= config_.occupants.size()) return false;

@@ -38,9 +38,6 @@ class DriveSession {
 
   // --- Scenario-pack occupants (DESIGN.md §5l) -------------------------
 
-  /// Roster size (config.occupants.size()).
-  [[nodiscard]] std::size_t num_occupants() const noexcept;
-
   /// Is roster occupant `index` inside its presence window at t?
   [[nodiscard]] bool occupant_present(std::size_t index,
                                       double t) const noexcept;

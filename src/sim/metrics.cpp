@@ -1,6 +1,7 @@
 #include "sim/metrics.h"
 
 #include "util/angle.h"
+#include "util/stats.h"
 
 namespace vihot::sim {
 
@@ -20,9 +21,6 @@ double ErrorCollector::percentile_deg(double p) const {
 }
 util::EmpiricalCdf ErrorCollector::cdf() const {
   return util::EmpiricalCdf(errors_deg_);
-}
-util::Summary ErrorCollector::summary() const {
-  return util::summarize(errors_deg_);
 }
 
 double angular_error_deg(double estimate_rad, double truth_rad) noexcept {

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "util/cdf.h"
-#include "util/stats.h"
 
 namespace vihot::sim {
 
@@ -31,7 +30,6 @@ class ErrorCollector {
   [[nodiscard]] double max_deg() const;
   [[nodiscard]] double percentile_deg(double p) const;
   [[nodiscard]] util::EmpiricalCdf cdf() const;
-  [[nodiscard]] util::Summary summary() const;
 
  private:
   std::vector<double> errors_deg_;

@@ -12,39 +12,10 @@ double wrap_pi(double rad) noexcept {
   return out <= -kPi ? kPi : out;
 }
 
-double wrap_two_pi(double rad) noexcept {
-  double w = std::fmod(rad, kTwoPi);
-  if (w < 0.0) w += kTwoPi;
-  return w;
-}
-
 double angular_diff(double a, double b) noexcept { return wrap_pi(a - b); }
 
 double angular_dist(double a, double b) noexcept {
   return std::abs(angular_diff(a, b));
-}
-
-void unwrap_in_place(std::span<double> phase) noexcept {
-  if (phase.size() < 2) return;
-  double offset = 0.0;
-  double prev = phase[0];
-  for (std::size_t i = 1; i < phase.size(); ++i) {
-    const double raw = phase[i];
-    const double delta = raw - prev;
-    if (delta > kPi) {
-      offset -= kTwoPi;
-    } else if (delta < -kPi) {
-      offset += kTwoPi;
-    }
-    prev = raw;
-    phase[i] = raw + offset;
-  }
-}
-
-std::vector<double> unwrapped(std::span<const double> phase) {
-  std::vector<double> out(phase.begin(), phase.end());
-  unwrap_in_place(out);
-  return out;
 }
 
 double circular_mean(std::span<const double> angles) noexcept {

@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace vihot::util {
 
@@ -29,21 +28,11 @@ inline constexpr double kTwoPi = 2.0 * kPi;
 /// Wraps an angle into the principal interval (-pi, pi].
 [[nodiscard]] double wrap_pi(double rad) noexcept;
 
-/// Wraps an angle into [0, 2*pi).
-[[nodiscard]] double wrap_two_pi(double rad) noexcept;
-
 /// Shortest signed angular difference `a - b`, wrapped into (-pi, pi].
 [[nodiscard]] double angular_diff(double a, double b) noexcept;
 
 /// Absolute angular distance between two angles, in [0, pi].
 [[nodiscard]] double angular_dist(double a, double b) noexcept;
-
-/// Unwraps a phase series in place: removes the 2*pi jumps that `arg()`
-/// introduces so consecutive samples differ by less than pi.
-void unwrap_in_place(std::span<double> phase) noexcept;
-
-/// Returns an unwrapped copy of `phase` (see unwrap_in_place).
-[[nodiscard]] std::vector<double> unwrapped(std::span<const double> phase);
 
 /// Circular mean of a set of angles (useful for averaging wrapped phases).
 /// Returns a value in (-pi, pi]. An empty input returns 0.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace vihot::util {
 
@@ -49,15 +48,6 @@ std::vector<std::pair<double, double>> EmpiricalCdf::curve(
     rows.emplace_back(x, at(x));
   }
   return rows;
-}
-
-std::string describe(const EmpiricalCdf& cdf, int precision) {
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(precision);
-  os << "median=" << cdf.median() << " p90=" << cdf.quantile(0.9)
-     << " max=" << cdf.max() << " (n=" << cdf.size() << ")";
-  return os.str();
 }
 
 }  // namespace vihot::util

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace vihot::util {
@@ -44,9 +43,5 @@ class EmpiricalCdf {
  private:
   std::vector<double> sorted_;
 };
-
-/// Renders a compact single-line summary like
-/// "median=4.2 p90=9.8 max=21.3 (n=1200)" used by the bench tables.
-[[nodiscard]] std::string describe(const EmpiricalCdf& cdf, int precision = 1);
 
 }  // namespace vihot::util

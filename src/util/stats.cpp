@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 namespace vihot::util {
@@ -62,42 +61,6 @@ double rms(std::span<const double> xs) noexcept {
   double ss = 0.0;
   for (const double x : xs) ss += x * x;
   return std::sqrt(ss / static_cast<double>(xs.size()));
-}
-
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  s.mean = mean(xs);
-  s.stddev = stddev(xs);
-  s.min = sorted.front();
-  s.max = sorted.back();
-  s.median = percentile_sorted(sorted, 50.0);
-  s.p90 = percentile_sorted(sorted, 90.0);
-  s.p99 = percentile_sorted(sorted, 99.0);
-  return s;
-}
-
-double pearson(std::span<const double> xs,
-               std::span<const double> ys) noexcept {
-  if (xs.size() != ys.size() || xs.size() < 2) return 0.0;
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  const double denom = std::sqrt(sxx * syy);
-  if (denom < std::numeric_limits<double>::min()) return 0.0;
-  return sxy / denom;
 }
 
 }  // namespace vihot::util

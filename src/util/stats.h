@@ -7,18 +7,6 @@
 
 namespace vihot::util {
 
-/// Aggregate summary of a sample set.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  // sample standard deviation (n-1 denominator)
-  double min = 0.0;
-  double median = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-};
-
 [[nodiscard]] double mean(std::span<const double> xs) noexcept;
 
 /// Sample standard deviation; returns 0 for fewer than two samples.
@@ -35,13 +23,5 @@ struct Summary {
 
 /// Root-mean-square value.
 [[nodiscard]] double rms(std::span<const double> xs) noexcept;
-
-/// One-pass summary of all the quantities above.
-[[nodiscard]] Summary summarize(std::span<const double> xs);
-
-/// Pearson correlation coefficient; returns 0 if either side is constant
-/// or the spans differ in length.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys) noexcept;
 
 }  // namespace vihot::util

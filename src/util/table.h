@@ -22,9 +22,6 @@ class Table {
   /// Renders with column widths fitted to content.
   void print(std::ostream& os) const;
 
-  /// Renders as CSV (no quoting: callers use plain numeric/identifier cells).
-  void print_csv(std::ostream& os) const;
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace vihot::util {
 
@@ -40,6 +39,12 @@ TimeSeries TimeSeries::slice(double t0, double t1) const {
   return out;
 }
 
+void TimeSeries::drop_front(std::size_t n) noexcept {
+  samples_.erase(samples_.begin(),
+                 samples_.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(n, samples_.size())));
+}
+
 std::size_t TimeSeries::lower_bound(double t) const noexcept {
   const auto it = std::lower_bound(
       samples_.begin(), samples_.end(), t,
@@ -75,14 +80,6 @@ std::vector<double> TimeSeries::values() const {
   out.reserve(samples_.size());
   for (const Sample& s : samples_) out.push_back(s.value);
   return out;
-}
-
-std::size_t UniformSeries::index_of(double t) const noexcept {
-  if (values.empty() || dt <= 0.0) return 0;
-  const double raw = std::round((t - t0) / dt);
-  if (raw <= 0.0) return 0;
-  const auto idx = static_cast<std::size_t>(raw);
-  return std::min(idx, values.size() - 1);
 }
 
 double UniformSeries::interpolate(double t) const noexcept {

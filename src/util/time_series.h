@@ -70,6 +70,9 @@ class TimeSeries {
   [[nodiscard]] std::vector<double> times() const;
   [[nodiscard]] std::vector<double> values() const;
 
+  /// Removes the oldest `n` samples (all of them when n >= size()).
+  void drop_front(std::size_t n) noexcept;
+
   void clear() noexcept { samples_.clear(); }
   void reserve(std::size_t n) { samples_.reserve(n); }
 
@@ -93,8 +96,6 @@ struct UniformSeries {
   [[nodiscard]] double end_time() const noexcept {
     return values.empty() ? t0 : time_at(values.size() - 1);
   }
-  /// Nearest sample index for time t, clamped to the valid range.
-  [[nodiscard]] std::size_t index_of(double t) const noexcept;
   /// Linear interpolation at time t, clamped to the ends. Precondition:
   /// non-empty.
   [[nodiscard]] double interpolate(double t) const noexcept;

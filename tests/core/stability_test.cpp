@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -91,12 +92,16 @@ TEST(StabilityTest, MinSamplesGuard) {
   EXPECT_FALSE(stable);
 }
 
-TEST(StabilityTest, ResetClearsState) {
-  StablePhaseDetector det;
-  for (double t = 0.0; t < 3.0; t += 0.002) det.update(t, 0.0);
-  EXPECT_TRUE(det.is_stable());
-  det.reset();
-  EXPECT_FALSE(det.is_stable());
+TEST(StabilityTest, HistoryCapIsFiniteForAnySpan) {
+  // Spans come from config fields no decoder range-checks: a NaN,
+  // negative or absurd span must still give a small finite cap.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(csi_history_cap(nan), 1u);
+  EXPECT_EQ(csi_history_cap(-1.0), 1u);
+  EXPECT_EQ(csi_history_cap(1.2), 6001u);
+  EXPECT_EQ(csi_history_cap(1e300), csi_history_cap(60.0));
+  EXPECT_EQ(csi_history_cap(std::numeric_limits<double>::infinity()),
+            csi_history_cap(60.0));
 }
 
 // The detector's spread check once folded the whole window on every
@@ -131,11 +136,6 @@ class FoldOracle {
   }
   [[nodiscard]] bool is_stable() const { return stable_; }
   [[nodiscard]] double stable_phase() const { return mean_; }
-  void reset() {
-    window_.clear();
-    stable_ = false;
-  }
-
  private:
   struct Entry {
     double t;
@@ -152,19 +152,20 @@ struct Sample {
   double phase;
 };
 
-// Feeds `samples` to the detector and the oracle (resetting both before
-// the indices in `resets`); returns how many steps were stable so the
-// caller can check that the input exercises both verdicts.
+// Feeds `samples` to the detector and the oracle (restarting both from
+// fresh instances before the indices in `restarts`); returns how many
+// steps were stable so the caller can check that the input exercises
+// both verdicts.
 std::size_t expect_matches_oracle(const StablePhaseDetector::Config& cfg,
                                   const std::vector<Sample>& samples,
-                                  const std::set<std::size_t>& resets = {}) {
+                                  const std::set<std::size_t>& restarts = {}) {
   StablePhaseDetector det(cfg);
   FoldOracle oracle(cfg);
   std::size_t stable_steps = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (resets.count(i) != 0) {
-      det.reset();
-      oracle.reset();
+    if (restarts.count(i) != 0) {
+      det = StablePhaseDetector(cfg);
+      oracle = FoldOracle(cfg);
     }
     const bool got = det.update(samples[i].t, samples[i].phase);
     const bool want = oracle.update(samples[i].t, samples[i].phase);
@@ -258,8 +259,8 @@ TEST(StabilityOracleTest, SamplesExactlyWindowApart) {
 }
 
 TEST(StabilityOracleTest, ResetMidStream) {
-  // Level steps after the resets: a detector that kept any pre-reset
-  // bookkeeping would see a stale spread across the step.
+  // A session restart mid-stream is a fresh detector on the tail of the
+  // stream: level steps after the restarts must still match the oracle.
   util::Rng rng(17);
   std::vector<Sample> samples;
   for (double t = 0.0; t < 12.0; t += 0.002) {

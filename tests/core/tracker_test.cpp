@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <complex>
+#include <cstdint>
 
 #include "obs/sink.h"
 #include "tests/core/test_helpers.h"
 #include "sim/drive_sim.h"
 #include "sim/metrics.h"
+#include "util/stats.h"
 #include "wifi/link.h"
 
 namespace vihot::core {
@@ -131,6 +133,52 @@ TEST_F(TrackerTest, DropsAndCountsNonFiniteCsi) {
   const TrackResult want = clean.estimate(1.02);
   EXPECT_EQ(got.valid, want.valid);
   EXPECT_EQ(got.theta_rad, want.theta_rad);
+}
+
+TEST_F(TrackerTest, HostileTimestampBurstsStayBounded) {
+  // Equal or nanosecond-spaced timestamps defeat the time-based trims of
+  // the phase history and the stable-phase window; the sample caps bound
+  // both, and every dropped sample is counted.
+  obs::Sink sink;
+  TrackerConfig config;
+  config.sink = &sink;
+  ViHotTracker tracker(testing::synthetic_profile(3), config);
+  wifi::CsiMeasurement m;
+  m.h[0].assign(4, std::polar(1.0, 0.3));
+  m.h[1].assign(4, {1.0, 0.0});
+  // The tracker's history span: longest candidate segment, stability
+  // window and 1.5 s of slack.
+  const std::size_t history_bound =
+      2 * csi_history_cap(config.matcher.window_s *
+                              config.matcher.max_length_factor +
+                          config.stability.window_s + 1.5);
+  const std::size_t window_bound =
+      csi_history_cap(config.stability.window_s);
+  constexpr int kFrames = 1000000;
+  m.t = 1.0;
+  for (int i = 0; i < kFrames; ++i) tracker.push_csi(m);
+  EXPECT_LE(tracker.phase_history_size(), history_bound);
+  EXPECT_LE(tracker.stability().window_size(), window_bound);
+  for (int i = 1; i <= kFrames; ++i) {
+    m.t = 1.0 + 1e-9 * static_cast<double>(i);
+    tracker.push_csi(m);
+  }
+  EXPECT_LE(tracker.phase_history_size(), history_bound);
+  EXPECT_LE(tracker.stability().window_size(), window_bound);
+  EXPECT_GT(sink.tracker.csi_history_capped.value(),
+            static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(sink.tracker.csi_out_of_order.value(), 0u);
+
+  // A clean 500 Hz feed never reaches either cap.
+  obs::Sink clean_sink;
+  TrackerConfig clean_config;
+  clean_config.sink = &clean_sink;
+  ViHotTracker clean(testing::synthetic_profile(3), clean_config);
+  for (int i = 0; i < 10000; ++i) {
+    m.t = 0.002 * static_cast<double>(i);
+    clean.push_csi(m);
+  }
+  EXPECT_EQ(clean_sink.tracker.csi_history_capped.value(), 0u);
 }
 
 TEST_F(TrackerTest, TracksWithLowMedianError) {

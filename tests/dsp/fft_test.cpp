@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <vector>
 
 #include "util/angle.h"
 #include "util/rng.h"
@@ -21,8 +23,8 @@ TEST(FftTest, IsPow2) {
 TEST(FftTest, DeltaTransformsToFlat) {
   std::vector<std::complex<double>> x(16, {0.0, 0.0});
   x[0] = {1.0, 0.0};
-  const auto X = fft(x);
-  for (const auto& v : X) {
+  fft_in_place(x);
+  for (const auto& v : x) {
     EXPECT_NEAR(v.real(), 1.0, 1e-12);
     EXPECT_NEAR(v.imag(), 0.0, 1e-12);
   }
@@ -37,10 +39,10 @@ TEST(FftTest, SinglToneLandsInItsBin) {
                       static_cast<double>(n);
     x[i] = std::polar(1.0, ph);
   }
-  const auto X = fft(x);
+  fft_in_place(x);
   for (std::size_t k = 0; k < n; ++k) {
     const double expected = (k == tone) ? static_cast<double>(n) : 0.0;
-    EXPECT_NEAR(std::abs(X[k]), expected, 1e-9) << "bin " << k;
+    EXPECT_NEAR(std::abs(x[k]), expected, 1e-9) << "bin " << k;
   }
 }
 
@@ -48,7 +50,9 @@ TEST(FftTest, RoundTrip) {
   util::Rng rng(5);
   std::vector<std::complex<double>> x(128);
   for (auto& v : x) v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
-  const auto y = ifft(fft(x));
+  std::vector<std::complex<double>> y = x;
+  fft_in_place(y);
+  ifft_in_place(y);
   for (std::size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0, 1e-10);
   }
@@ -62,9 +66,9 @@ TEST(FftTest, ParsevalHolds) {
     v = {rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)};
     e_time += std::norm(v);
   }
-  const auto X = fft(x);
+  fft_in_place(x);
   double e_freq = 0.0;
-  for (const auto& v : X) e_freq += std::norm(v);
+  for (const auto& v : x) e_freq += std::norm(v);
   EXPECT_NEAR(e_freq / 64.0, e_time, 1e-9);
 }
 
@@ -78,26 +82,12 @@ TEST(FftTest, LinearityOfFft) {
   }
   std::vector<std::complex<double>> sum(32);
   for (std::size_t i = 0; i < 32; ++i) sum[i] = 2.0 * a[i] + b[i];
-  const auto A = fft(a);
-  const auto B = fft(b);
-  const auto S = fft(sum);
+  fft_in_place(a);
+  fft_in_place(b);
+  fft_in_place(sum);
   for (std::size_t k = 0; k < 32; ++k) {
-    EXPECT_NEAR(std::abs(S[k] - (2.0 * A[k] + B[k])), 0.0, 1e-10);
+    EXPECT_NEAR(std::abs(sum[k] - (2.0 * a[k] + b[k])), 0.0, 1e-10);
   }
-}
-
-TEST(FftTest, PowerSpectrumFindsTone) {
-  // 8 Hz tone sampled at 64 Hz for 2 s -> peak at bin 16 of a 128-pt FFT.
-  std::vector<double> xs;
-  for (int i = 0; i < 128; ++i) {
-    xs.push_back(std::sin(util::kTwoPi * 8.0 * i / 64.0));
-  }
-  const auto spec = power_spectrum(xs);
-  std::size_t peak = 0;
-  for (std::size_t k = 1; k < spec.size(); ++k) {
-    if (spec[k] > spec[peak]) peak = k;
-  }
-  EXPECT_EQ(peak, 16u);
 }
 
 }  // namespace

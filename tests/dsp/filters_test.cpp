@@ -30,117 +30,5 @@ TEST(FiltersTest, MovingAverageWindowOneIsIdentity) {
   EXPECT_EQ(moving_average(xs, 1), xs);
 }
 
-TEST(FiltersTest, MovingMedianRejectsSpike) {
-  std::vector<double> xs(21, 1.0);
-  xs[10] = 100.0;
-  const auto out = moving_median(xs, 5);
-  EXPECT_DOUBLE_EQ(out[10], 1.0);
-}
-
-TEST(FiltersTest, MovingMedianPreservesStep) {
-  std::vector<double> xs(10, 0.0);
-  xs.insert(xs.end(), 10, 1.0);
-  const auto out = moving_median(xs, 3);
-  EXPECT_DOUBLE_EQ(out.front(), 0.0);
-  EXPECT_DOUBLE_EQ(out.back(), 1.0);
-}
-
-TEST(FiltersTest, ExponentialSmoothAlphaOneIsIdentity) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  EXPECT_EQ(exponential_smooth(xs, 1.0), xs);
-}
-
-TEST(FiltersTest, ExponentialSmoothConverges) {
-  std::vector<double> xs(100, 10.0);
-  xs[0] = 0.0;
-  const auto out = exponential_smooth(xs, 0.2);
-  EXPECT_NEAR(out.back(), 10.0, 0.01);
-  // Monotone approach.
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    EXPECT_GE(out[i], out[i - 1] - 1e-12);
-  }
-}
-
-TEST(FiltersTest, HampelReplacesOutliers) {
-  std::vector<double> xs;
-  for (int i = 0; i < 50; ++i) xs.push_back(std::sin(0.1 * i));
-  xs[25] += 10.0;
-  const auto res = hampel_filter(xs, 7, 3.0);
-  EXPECT_EQ(res.replaced, 1u);
-  EXPECT_LT(std::abs(res.values[25]), 1.5);
-}
-
-TEST(FiltersTest, HampelLeavesCleanDataAlone) {
-  std::vector<double> xs;
-  for (int i = 0; i < 50; ++i) xs.push_back(std::sin(0.1 * i));
-  const auto res = hampel_filter(xs, 7, 3.0);
-  EXPECT_EQ(res.replaced, 0u);
-  EXPECT_EQ(res.values, xs);
-}
-
-TEST(FiltersTest, ZNormalizeMoments) {
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) xs.push_back(3.0 + 2.0 * std::sin(0.3 * i));
-  const auto out = z_normalize(xs);
-  double s = 0.0;
-  double ss = 0.0;
-  for (const double v : out) {
-    s += v;
-    ss += v * v;
-  }
-  EXPECT_NEAR(s / 100.0, 0.0, 1e-9);
-  EXPECT_NEAR(std::sqrt(ss / 99.0), 1.0, 1e-9);
-}
-
-TEST(FiltersTest, ZNormalizeConstantGivesZeros) {
-  const std::vector<double> xs(10, 4.2);
-  for (const double v : z_normalize(xs)) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(FiltersTest, DiffBasics) {
-  const std::vector<double> xs = {1.0, 4.0, 9.0};
-  const auto d = diff(xs);
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_DOUBLE_EQ(d[0], 3.0);
-  EXPECT_DOUBLE_EQ(d[1], 5.0);
-  EXPECT_TRUE(diff(std::vector<double>{1.0}).empty());
-}
-
-// Pins the edge ("ramp-up") semantics: the window is CENTERED and the
-// first/last window/2 outputs use the clamped shorter neighborhood —
-// not a trailing warm-up. A linear ramp makes every expected value
-// closed-form: a centered run of k consecutive integers has sample
-// stddev sqrt(sum of squared offsets / (k - 1)).
-TEST(FiltersTest, RollingStddevRampUpRegionPinned) {
-  std::vector<double> xs(10);
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto out = rolling_stddev(xs, 5);  // half = 2
-  ASSERT_EQ(out.size(), xs.size());
-  const double sd3 = 1.0;                  // {a, a+1, a+2}
-  const double sd4 = std::sqrt(5.0 / 3.0); // {a, .., a+3}
-  const double sd5 = std::sqrt(2.5);       // {a, .., a+4}
-  EXPECT_DOUBLE_EQ(out[0], sd3);  // clamped to [0, 2]
-  EXPECT_DOUBLE_EQ(out[1], sd4);  // clamped to [0, 3]
-  for (std::size_t i = 2; i + 2 < xs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], sd5) << "i=" << i;  // full [i-2, i+2]
-  }
-  EXPECT_DOUBLE_EQ(out[8], sd4);  // clamped to [6, 9]
-  EXPECT_DOUBLE_EQ(out[9], sd3);  // clamped to [7, 9]
-}
-
-TEST(FiltersTest, RollingStddevSmallWindowReturnsZeros) {
-  const std::vector<double> xs = {1.0, 7.0, -3.0};
-  for (const double v : rolling_stddev(xs, 1)) EXPECT_DOUBLE_EQ(v, 0.0);
-}
-
-TEST(FiltersTest, RollingStddevDetectsBurst) {
-  std::vector<double> xs(40, 1.0);
-  for (int i = 20; i < 30; ++i) xs[static_cast<std::size_t>(i)] =
-      (i % 2 == 0) ? 3.0 : -1.0;
-  const auto out = rolling_stddev(xs, 8);
-  EXPECT_NEAR(out[10], 0.0, 1e-12);
-  EXPECT_GT(out[28], 1.0);
-}
-
 }  // namespace
 }  // namespace vihot::dsp

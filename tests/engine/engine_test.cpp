@@ -152,10 +152,6 @@ TEST(TrackerEngineTest, UnknownSessionIsRejected) {
   EXPECT_FALSE(engine.push_imu(42, {}));
   EXPECT_FALSE(engine.push_camera(42, {}));
   EXPECT_FALSE(engine.destroy_session(42));
-  // A failed LOOKUP is the absence of a result, not a valid == false
-  // estimate (which also describes a live session that hasn't locked).
-  EXPECT_FALSE(engine.estimate_one(42, 1.0).has_value());
-  EXPECT_FALSE(engine.forecast_one(42, 0.1).has_value());
 }
 
 TEST(TrackerEngineTest, UnknownSessionLookupsAreCounted) {
@@ -163,18 +159,13 @@ TEST(TrackerEngineTest, UnknownSessionLookupsAreCounted) {
   TrackerEngine engine({0, &sink});
   const auto profile = engine.add_profile(synthetic_profile(3));
   const SessionId id = engine.create_session(profile);
-  // Live session: results exist (valid or not), nothing counted.
-  ASSERT_TRUE(engine.estimate_one(id, 0.0).has_value());
-  ASSERT_TRUE(engine.forecast_one(id, 0.1).has_value());
+  // Live session: feeds and ticks reach it, nothing counted.
+  EXPECT_TRUE(engine.push_csi(id, measurement(0.0, 0.0)));
+  EXPECT_EQ(engine.estimate_all(0.0).size(), 1u);
   EXPECT_EQ(sink.engine.unknown_session.value(), 0u);
-  // Stale handle after destroy: nullopt, and every miss is counted.
   ASSERT_TRUE(engine.destroy_session(id));
-  EXPECT_FALSE(engine.estimate_one(id, 1.0).has_value());
-  EXPECT_FALSE(engine.forecast_one(id, 0.1).has_value());
-  EXPECT_FALSE(engine.swap_profile(id, profile));
-  EXPECT_EQ(sink.engine.unknown_session.value(), 3u);
-  // Every other entry point counts its misses too, feeds and teardown
-  // included, for stale and never-issued ids alike.
+  // Every entry point counts its misses, feeds and teardown included,
+  // for stale and never-issued ids alike.
   for (const SessionId unknown : {id, SessionId{42}}) {
     EXPECT_FALSE(engine.push_csi(unknown, measurement(0.0, 0.0)));
     EXPECT_FALSE(engine.push_imu(unknown, {}));
@@ -183,12 +174,12 @@ TEST(TrackerEngineTest, UnknownSessionLookupsAreCounted) {
     EXPECT_FALSE(engine.offer_imu(unknown, {}));
     EXPECT_FALSE(engine.destroy_session(unknown));
   }
-  EXPECT_EQ(sink.engine.unknown_session.value(), 3u + 2u * 6u);
+  EXPECT_EQ(sink.engine.unknown_session.value(), 2u * 6u);
   // Rejected samples on a LIVE session are not lookup misses.
   const SessionId live = engine.create_session(profile);
   EXPECT_TRUE(engine.push_csi(live, measurement(1.0, 0.0)));
   EXPECT_FALSE(engine.push_csi(live, measurement(0.5, 0.0)));
-  EXPECT_EQ(sink.engine.unknown_session.value(), 3u + 2u * 6u);
+  EXPECT_EQ(sink.engine.unknown_session.value(), 2u * 6u);
 }
 
 TEST(TrackerEngineTest, MatchesStandaloneTrackers) {
@@ -515,10 +506,12 @@ TEST(TrackerEngineTest, NullSinkIsZeroOverheadPath) {
   feed([&](const auto& m) { observed.push_csi(ob, m); }, theta, 0.0, 1.2,
        fp);
   for (double t = 0.8; t < 1.2; t += 0.05) {
-    const core::TrackResult rp = *plain.estimate_one(pa, t);
-    const core::TrackResult ro = *observed.estimate_one(ob, t);
+    const core::TrackResult rp = plain.estimate_all(t)[0];
+    const core::TrackResult ro = observed.estimate_all(t)[0];
     EXPECT_EQ(rp.valid, ro.valid);
-    if (rp.valid) EXPECT_DOUBLE_EQ(rp.theta_rad, ro.theta_rad);
+    if (rp.valid) {
+      EXPECT_DOUBLE_EQ(rp.theta_rad, ro.theta_rad);
+    }
   }
 }
 

@@ -361,8 +361,9 @@ TEST(EngineIngestTest, MixedCapacityRunsEachStreamOnItsOwnPath) {
     const std::size_t n = 8;
     imu::ImuSample s{};
     for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_TRUE(engine.offer_csi(id, measurement(0.01 * k, 0.1)));
-      s.t = 0.01 * k;
+      const double t = 0.01 * static_cast<double>(k);
+      EXPECT_TRUE(engine.offer_csi(id, measurement(t, 0.1)));
+      s.t = t;
       EXPECT_TRUE(engine.offer_imu(id, s));
     }
     // Async streams queued; sync-fallback streams already applied.
@@ -519,7 +520,6 @@ TEST(EngineIngestTest, SessionChurnUnderConcurrentProducersAndTicks) {
     for (int k = 0; k < 30; ++k) {
       const SessionId id = engine.create_session(profile);
       (void)engine.push_csi(id, measurement(0.1 * k, 0.2));
-      (void)engine.estimate_one(id, 0.1 * k);
       EXPECT_TRUE(engine.destroy_session(id));
     }
   });

@@ -1,10 +1,9 @@
 // Fleet-serving tests of one TrackerEngine (ctest label: fleet).
 //
 // Routing through the FeedRouter (unknown ids at every entry point,
-// results invariant under the lane count), async ingest across lanes, mid-drive profile hot-swaps and the
-// release of swapped-out profiles, and the churn torture test: session
-// create/destroy racing concurrent producers, hot-swaps and pooled batch
-// ticks. The threaded test is the TSan target of the fleet label in
+// results invariant under the lane count), async ingest across lanes, and
+// the churn torture test: session create/destroy racing concurrent
+// producers and pooled batch ticks. The threaded test is the TSan target of the fleet label in
 // tools/run_checks.sh; thread-count invariance of the results lives in
 // engine_test.cpp (ThreadCountDoesNotChangeResults).
 #include "engine/tracker_engine.h"
@@ -61,11 +60,8 @@ TEST(FleetRouterTest, UnknownIdsAreSurfacedAndCounted) {
   ASSERT_EQ(engine.num_lanes(), 2u);
   EXPECT_FALSE(engine.push_csi(42, measurement(0.0, 0.0)));
   EXPECT_FALSE(engine.offer_csi(42, measurement(0.0, 0.0)));
-  EXPECT_FALSE(engine.estimate_one(42, 1.0).has_value());
-  EXPECT_FALSE(engine.forecast_one(42, 0.1).has_value());
-  EXPECT_FALSE(engine.swap_profile(42, nullptr));
   EXPECT_FALSE(engine.destroy_session(42));
-  EXPECT_EQ(sink.engine.unknown_session.value(), 6u);
+  EXPECT_EQ(sink.engine.unknown_session.value(), 3u);
 }
 
 TEST(FleetRouterTest, ResultsAreInvariantUnderShardCount) {
@@ -144,76 +140,19 @@ TEST(EngineServingTest, OfferedSamplesRouteAndDrainAcrossLanes) {
   EXPECT_EQ(engine.drain(), 0u);
 }
 
-// ------------------------------------------------------ profile hot-swap
-
-TEST(EngineServingTest, HotSwapMidDriveRelocksOnNewProfile) {
-  obs::Sink sink;
-  TrackerEngine engine(serving_config(2, &sink));
-  const auto base = engine.add_profile(synthetic_profile(5));
-  const double fp = base->positions[2].fingerprint_phase;
-  const SessionId id = engine.create_session(base);
-
-  // Track against the base profile first.
-  feed([&](const auto& m) { engine.push_csi(id, m); },
-       [](double t) { return -0.5 + 0.8 * (t - 0.5); }, 0.4, 1.6, fp);
-  const auto before = engine.estimate_one(id, 1.5);
-  ASSERT_TRUE(before.has_value());
-  EXPECT_TRUE(before->valid);
-
-  // COW recalibration: a shifted copy interned as a NEW snapshot; the
-  // base stays untouched for every other session.
-  const auto next =
-      engine.profile_store().cow(*base, [](core::CsiProfile& p) {
-        for (auto& pos : p.positions) pos.fingerprint_phase += 0.05;
-      });
-  ASSERT_NE(next.get(), base.get());
-  ASSERT_TRUE(engine.swap_profile(id, next));
-  EXPECT_EQ(sink.engine.profile_swaps.value(), 1u);
-
-  // The swap restarts match state: the session re-locks against the new
-  // profile from fresh feeds and serves valid estimates again.
-  feed([&](const auto& m) { engine.push_csi(id, m); },
-       [](double t) { return -0.5 + 0.8 * (t - 2.0); }, 1.9, 3.4,
-       fp + 0.05);
-  const auto after = engine.estimate_one(id, 3.3);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_TRUE(after->valid);
-}
-
-TEST(EngineServingTest, SwappedOutProfileIsReleased) {
-  TrackerEngine engine(serving_config(2));
-  std::weak_ptr<const core::CsiProfile> watch;
-  SessionId id = kNoSession;
-  {
-    const auto base = engine.add_profile(synthetic_profile(3));
-    watch = base;
-    id = engine.create_session(base);
-  }
-  EXPECT_FALSE(watch.expired());  // the session still serves it
-  core::CsiProfile replacement = synthetic_profile(4);
-  ASSERT_TRUE(
-      engine.swap_profile(id, engine.add_profile(std::move(replacement))));
-  // Weak store entries never pin: with the session swapped over and the
-  // caller's reference gone, the old snapshot's memory is released.
-  EXPECT_TRUE(watch.expired());
-  EXPECT_EQ(engine.profile_store().live_count(), 1u);
-}
-
 // ------------------------------------------------- churn under concurrency
 
-TEST(EngineServingTest, ChurnUnderConcurrentProducersTicksAndSwaps) {
+TEST(EngineServingTest, ChurnUnderConcurrentProducersAndTicks) {
   // The serving torture test (TSan target): stable sessions fed by
-  // concurrent producer threads through the async rings, a churn thread
-  // creating/estimating/destroying sessions, a swap thread hot-swapping
-  // profiles mid-drive — all racing pooled batch ticks.
+  // concurrent producer threads through the async rings and a churn
+  // thread creating/feeding/destroying sessions, all racing pooled batch
+  // ticks.
   obs::Sink sink;
   TrackerEngine::Config config = serving_config(3, &sink);
   config.ingest.csi_capacity = 256;
   config.ingest.imu_capacity = 256;
   TrackerEngine engine(config);
   const auto profile = engine.add_profile(synthetic_profile(3));
-  const auto alt = engine.profile_store().cow(
-      *profile, [](core::CsiProfile& p) { p.reference_phase += 0.01; });
 
   std::vector<SessionId> stable;
   for (int s = 0; s < 4; ++s) stable.push_back(engine.create_session(profile));
@@ -237,27 +176,18 @@ TEST(EngineServingTest, ChurnUnderConcurrentProducersTicksAndSwaps) {
     for (int k = 0; k < 30; ++k) {
       const SessionId id = engine.create_session(profile);
       (void)engine.push_csi(id, measurement(0.1 * k, 0.2));
-      (void)engine.estimate_one(id, 0.1 * k);
       EXPECT_TRUE(engine.destroy_session(id));
-    }
-  });
-  std::thread swapper([&] {
-    for (std::size_t k = 0; k < 20; ++k) {
-      (void)engine.swap_profile(stable[k % stable.size()],
-                                (k % 2) ? alt : profile);
     }
   });
   for (int k = 0; k < 100; ++k) {
     (void)engine.estimate_all(0.05 * (k + 1));
   }
   churn.join();
-  swapper.join();
   stop.store(true, std::memory_order_release);
   p1.join();
   p2.join();
   EXPECT_EQ(engine.session_count(), stable.size());
   EXPECT_EQ(sink.engine.sessions_destroyed.value(), 30u);
-  EXPECT_EQ(sink.engine.profile_swaps.value(), 20u);
   EXPECT_EQ(sink.engine.unknown_session.value(), 0u);
   // Overload decisions are all accounted: every enqueued sample is
   // either drained or discarded with its session.

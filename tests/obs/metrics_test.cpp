@@ -107,31 +107,47 @@ TEST(HistogramTest, ConcurrentObservationsKeepTotals) {
   EXPECT_EQ(h.bucket_count(0), h.count());  // all <= 10
 }
 
-TEST(RegistryTest, OwnsAndAttachesMetrics) {
+// The CSV row of counter `name`, or "" when the registry has none.
+std::string counter_row(const Registry& reg, const std::string& name) {
+  std::ostringstream os;
+  reg.write_csv(os);
+  std::istringstream lines(os.str());
+  const std::string prefix = "counter," + name + ",value,";
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return "";
+}
+
+TEST(RegistryTest, AttachesExternalMetrics) {
   Registry reg;
-  Counter& owned = reg.counter("frames");
-  owned.inc(3);
-  // Re-requesting the same name returns the same metric.
-  EXPECT_EQ(&reg.counter("frames"), &owned);
-  EXPECT_EQ(reg.counter_value("frames"), 3u);
-  EXPECT_EQ(reg.counter_value("unknown"), 0u);
+  Counter frames;
+  frames.inc(3);
+  reg.attach("frames", frames);
+  EXPECT_EQ(counter_row(reg, "frames"), "counter,frames,value,3");
+  EXPECT_EQ(counter_row(reg, "unknown"), "");
 
-  Counter external;
-  external.inc(7);
-  reg.attach("ext.frames", external);
-  EXPECT_EQ(reg.counter_value("ext.frames"), 7u);
+  // Attached metrics are read live at snapshot time, not copied.
+  frames.inc(4);
+  EXPECT_EQ(counter_row(reg, "frames"), "counter,frames,value,7");
 
-  Histogram& h = reg.histogram("lat", {1.0, 2.0});
-  h.observe(1.5);
-  EXPECT_EQ(reg.size(), 3u);
+  Histogram lat{1.0, 2.0};
+  lat.observe(1.5);
+  reg.attach("lat", lat);
+  std::ostringstream os;
+  reg.write_csv(os);
+  EXPECT_NE(os.str().find("histogram,lat,count,1"), std::string::npos);
 }
 
 TEST(RegistryTest, WritesJsonWithBothFamilies) {
-  Registry reg;
-  reg.counter("hits").inc(2);
-  Histogram& h = reg.histogram("cost", {0.5, 1.0});
+  Counter hits;
+  hits.inc(2);
+  Histogram h{0.5, 1.0};
   h.observe(0.25);
   h.observe(2.0);
+  Registry reg;
+  reg.attach("hits", hits);
+  reg.attach("cost", h);
 
   std::ostringstream os;
   reg.write_json(os);
@@ -153,9 +169,13 @@ TEST(RegistryTest, WritesJsonWithBothFamilies) {
 }
 
 TEST(RegistryTest, WritesCsvRows) {
+  Counter hits;
+  hits.inc(5);
+  Histogram cost{1.0};
+  cost.observe(0.5);
   Registry reg;
-  reg.counter("hits").inc(5);
-  reg.histogram("cost", {1.0}).observe(0.5);
+  reg.attach("hits", hits);
+  reg.attach("cost", cost);
   std::ostringstream os;
   reg.write_csv(os);
   const std::string csv = os.str();
@@ -172,8 +192,10 @@ TEST(SinkTest, AttachRegistersTrackerAndEngineFamilies) {
 
   Registry reg;
   sink.attach_to(reg);
-  EXPECT_EQ(reg.counter_value("tracker.estimates"), 4u);
-  EXPECT_EQ(reg.counter_value("engine.batches"), 2u);
+  EXPECT_EQ(counter_row(reg, "tracker.estimates"),
+            "counter,tracker.estimates,value,4");
+  EXPECT_EQ(counter_row(reg, "engine.batches"),
+            "counter,engine.batches,value,2");
 
   std::ostringstream os;
   reg.write_json(os);
@@ -185,7 +207,8 @@ TEST(SinkTest, AttachRegistersTrackerAndEngineFamilies) {
   // A prefix namespaces every family (multi-engine deployments).
   Registry prefixed;
   sink.attach_to(prefixed, "car7.");
-  EXPECT_EQ(prefixed.counter_value("car7.tracker.estimates"), 4u);
+  EXPECT_EQ(counter_row(prefixed, "car7.tracker.estimates"),
+            "counter,car7.tracker.estimates,value,4");
 }
 
 // The exported names are a contract: vihotd's health JSON, --metrics-out

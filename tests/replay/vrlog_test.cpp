@@ -128,7 +128,8 @@ TEST(Framing, TruncatedTailIsAnError) {
   append_chunk(log, ChunkType::kCamera, payload, sizeof(payload));
   for (std::size_t cut = 1; cut < chunk_overhead() + sizeof(payload);
        ++cut) {
-    std::vector<unsigned char> bad(log.begin(), log.end() - cut);
+    std::vector<unsigned char> bad(
+        log.begin(), log.end() - static_cast<std::ptrdiff_t>(cut));
     ChunkScanner scanner(bad.data(), bad.size());
     ASSERT_TRUE(scanner.valid_header());
     EXPECT_FALSE(scanner.next().has_value());

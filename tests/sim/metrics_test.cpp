@@ -51,14 +51,5 @@ TEST(MetricsTest, CdfMatchesSamples) {
   EXPECT_DOUBLE_EQ(cdf.max(), 10.0);
 }
 
-TEST(MetricsTest, SummaryAgrees) {
-  ErrorCollector c;
-  for (int i = 0; i < 100; ++i) c.add(static_cast<double>(i % 10));
-  const util::Summary s = c.summary();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, c.mean_deg());
-  EXPECT_DOUBLE_EQ(s.median, c.median_deg());
-}
-
 }  // namespace
 }  // namespace vihot::sim

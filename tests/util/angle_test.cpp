@@ -30,17 +30,6 @@ TEST(AngleTest, WrapPiBoundaryIsPlusPi) {
   EXPECT_NEAR(wrap_pi(-kPi), kPi, 1e-12);
 }
 
-TEST(AngleTest, WrapTwoPi) {
-  EXPECT_NEAR(wrap_two_pi(-0.5), kTwoPi - 0.5, 1e-12);
-  EXPECT_NEAR(wrap_two_pi(kTwoPi + 0.5), 0.5, 1e-12);
-  for (double a = -20.0; a < 20.0; a += 0.7) {
-    const double w = wrap_two_pi(a);
-    EXPECT_GE(w, 0.0);
-    EXPECT_LT(w, kTwoPi);
-    EXPECT_NEAR(std::remainder(w - a, kTwoPi), 0.0, 1e-9);
-  }
-}
-
 TEST(AngleTest, AngularDiffShortestPath) {
   EXPECT_NEAR(angular_diff(0.1, -0.1), 0.2, 1e-12);
   // Crossing the wrap boundary: 175 deg to -175 deg is -10 deg apart.
@@ -58,49 +47,6 @@ TEST(AngleTest, AngularDistSymmetricNonNegative) {
       EXPECT_LE(angular_dist(a, b), kPi + 1e-12);
     }
   }
-}
-
-TEST(AngleTest, UnwrapRemovesJumps) {
-  // A linear ramp wrapped into (-pi, pi] must unwrap back to the ramp.
-  std::vector<double> truth;
-  std::vector<double> wrapped;
-  for (int i = 0; i < 200; ++i) {
-    const double v = 0.1 * i;
-    truth.push_back(v);
-    wrapped.push_back(wrap_pi(v));
-  }
-  unwrap_in_place(wrapped);
-  // Unwrap is relative to the first sample; the ramp starts at 0, so the
-  // result matches absolutely.
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    EXPECT_NEAR(wrapped[i], truth[i], 1e-9) << "at " << i;
-  }
-}
-
-TEST(AngleTest, UnwrapNegativeRamp) {
-  std::vector<double> wrapped;
-  for (int i = 0; i < 150; ++i) wrapped.push_back(wrap_pi(-0.2 * i));
-  unwrap_in_place(wrapped);
-  for (std::size_t i = 1; i < wrapped.size(); ++i) {
-    EXPECT_NEAR(wrapped[i] - wrapped[i - 1], -0.2, 1e-9);
-  }
-}
-
-TEST(AngleTest, UnwrappedCopyLeavesInputIntact) {
-  const std::vector<double> in = {3.0, -3.0, 3.0};
-  const std::vector<double> out = unwrapped(in);
-  EXPECT_EQ(in[1], -3.0);
-  // -3.0 is closer to 3.0 via the wrap (+2pi).
-  EXPECT_NEAR(out[1], -3.0 + kTwoPi, 1e-12);
-}
-
-TEST(AngleTest, UnwrapShortInputsNoop) {
-  std::vector<double> one = {1.5};
-  unwrap_in_place(one);
-  EXPECT_DOUBLE_EQ(one[0], 1.5);
-  std::vector<double> empty;
-  unwrap_in_place(empty);
-  EXPECT_TRUE(empty.empty());
 }
 
 TEST(AngleTest, CircularMeanHandlesWrap) {

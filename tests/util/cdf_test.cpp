@@ -62,14 +62,6 @@ TEST(CdfTest, CurveZeroPoints) {
   EXPECT_TRUE(cdf.curve(5.0, 0).empty());
 }
 
-TEST(CdfTest, DescribeMentionsStatistics) {
-  EmpiricalCdf cdf(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  const std::string s = describe(cdf);
-  EXPECT_NE(s.find("median="), std::string::npos);
-  EXPECT_NE(s.find("n=4"), std::string::npos);
-}
-
-// Property: quantile(at(x)) <= x for sample points.
 class CdfRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(CdfRoundTrip, QuantileAtIsConsistent) {

@@ -50,43 +50,6 @@ TEST(StatsTest, MinMaxRms) {
   EXPECT_DOUBLE_EQ(rms({}), 0.0);
 }
 
-TEST(StatsTest, SummarizeConsistentWithPieces) {
-  std::vector<double> xs;
-  for (int i = 100; i >= 1; --i) xs.push_back(static_cast<double>(i));
-  const Summary s = summarize(xs);
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_DOUBLE_EQ(s.mean, mean(xs));
-  EXPECT_DOUBLE_EQ(s.median, median(xs));
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 100.0);
-  EXPECT_DOUBLE_EQ(s.p90, percentile(xs, 90.0));
-  EXPECT_DOUBLE_EQ(s.p99, percentile(xs, 99.0));
-}
-
-TEST(StatsTest, SummarizeEmpty) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(StatsTest, PearsonPerfectCorrelation) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> ys = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
-  std::vector<double> neg = ys;
-  for (double& v : neg) v = -v;
-  EXPECT_NEAR(pearson(xs, neg), -1.0, 1e-12);
-}
-
-TEST(StatsTest, PearsonDegenerateInputs) {
-  EXPECT_DOUBLE_EQ(pearson(std::vector<double>{1.0, 2.0},
-                           std::vector<double>{1.0}),
-                   0.0);  // length mismatch
-  EXPECT_DOUBLE_EQ(pearson(std::vector<double>{3.0, 3.0},
-                           std::vector<double>{1.0, 2.0}),
-                   0.0);  // constant side
-}
-
 // Property: percentile is monotone in p.
 class PercentileMonotone : public ::testing::TestWithParam<int> {};
 

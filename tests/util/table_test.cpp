@@ -22,14 +22,6 @@ TEST(TableTest, PrintAlignsColumns) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(TableTest, PrintCsv) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, FmtPrecision) {
   EXPECT_EQ(fmt(3.14159, 2), "3.14");
   EXPECT_EQ(fmt(3.14159, 0), "3");

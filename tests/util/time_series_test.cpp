@@ -154,17 +154,6 @@ TEST(UniformSeriesTest, TimeAtAndEnd) {
   EXPECT_EQ(u.size(), 3u);
 }
 
-TEST(UniformSeriesTest, IndexOfClamped) {
-  UniformSeries u;
-  u.t0 = 0.0;
-  u.dt = 1.0;
-  u.values = {0.0, 1.0, 2.0, 3.0};
-  EXPECT_EQ(u.index_of(-5.0), 0u);
-  EXPECT_EQ(u.index_of(1.4), 1u);
-  EXPECT_EQ(u.index_of(1.6), 2u);
-  EXPECT_EQ(u.index_of(99.0), 3u);
-}
-
 TEST(UniformSeriesTest, InterpolateMatchesLinear) {
   UniformSeries u;
   u.t0 = 0.0;

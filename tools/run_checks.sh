@@ -14,7 +14,7 @@
 # build and run the full suite under each sanitizer (the tsan leg keeps TrackerEngine / WorkerPool /
 # ingest rings honest — engine_tests exercises concurrent producers,
 # session churn and batch ticks, and the fleet label re-proves churn
-# and profile hot-swaps under the same load); the release preset
+# under the same load); the release preset
 # (-DNDEBUG, asserts compiled out) runs the release-guard label. The
 # `default` leg is the plain tier-1 pass: default preset build + full
 # ctest (backend-matrix and fleet gates first, as named artifacts). The
@@ -129,7 +129,7 @@ run_leg() {
       run_ctest backend-matrix backend-matrix || return 1
       echo "== ${leg}: fleet gate =="
       # Fleet-serving invariants (ingest lanes, profile interning and
-      # hot-swap release) as a named artifact before the full pass.
+      # release) as a named artifact before the full pass.
       run_ctest fleet fleet || return 1
       echo "== ${leg}: scenario gate =="
       # Scenario-pack envelopes + same-seed .vrlog bit-identity as a
@@ -206,9 +206,8 @@ run_leg() {
         # label must be TSan-clean before the full suite runs.
         echo "== ${leg}: backend-matrix gate =="
         run_ctest backend-matrix-tsan tsan-backend-matrix || return 1
-        # Session churn and profile hot-swaps race concurrent producers
-        # against pooled batch ticks: the fleet label is the serving
-        # engine's data-race proof.
+        # Session churn races concurrent producers against pooled batch
+        # ticks: the fleet label is the serving engine's data-race proof.
         echo "== ${leg}: fleet gate =="
         run_ctest fleet-tsan tsan-fleet || return 1
         # The daemon crosses reader threads, the tick loop and
