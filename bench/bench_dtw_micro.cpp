@@ -163,8 +163,11 @@ BENCHMARK(BM_DtwDistanceBandedNarrow)
 // bit-identical matches, proven by the matcher-equivalence tests):
 //   * Naive     — find_best_match_reference: no pruning, no workspace,
 //                 per-candidate allocations, scalar DTW;
-//   * (default) — workspace + lower-bound cascade + early abandoning,
-//                 measured under both kernel tables (simd arg).
+//   * (default) — the bound-ordered search (workspace, lower bounds,
+//                 early abandoning, lane batches), measured under both
+//                 kernel tables (simd arg); BM_SeriesMatch reports the
+//                 full top-K, BM_SeriesMatchTieBreakBar stops the
+//                 alternates at the tracker's tie-break bar.
 dsp::SeriesMatchOptions series_match_options() {
   dsp::SeriesMatchOptions opt;
   opt.start_stride = 2;
@@ -186,7 +189,9 @@ std::vector<double> profile_slice_query(const std::vector<double>& profile,
   return q;
 }
 
-void BM_SeriesMatch(benchmark::State& state) {
+// One search per iteration with the given tie-break ratio (+inf: the
+// full top-K).
+void run_series_match(benchmark::State& state, double tie_break_ratio) {
   const auto* table = table_for(state.range(0));
   if (table == nullptr) {
     state.SkipWithError("AVX2 kernels unavailable on this host/build");
@@ -195,7 +200,8 @@ void BM_SeriesMatch(benchmark::State& state) {
   const dsp::simd::ForcedKernels forced(*table);
   const auto profile = noisy_sine(2000, 30.0, 4);
   const auto query = profile_slice_query(profile, 700, 21);
-  const dsp::SeriesMatchOptions opt = series_match_options();
+  dsp::SeriesMatchOptions opt = series_match_options();
+  opt.tie_break_ratio = tie_break_ratio;
   dsp::SeriesMatch last;
   for (auto _ : state) {
     last = dsp::find_best_match(query, profile, opt);
@@ -209,9 +215,22 @@ void BM_SeriesMatch(benchmark::State& state) {
       s.candidates > 0 ? pruned / static_cast<double>(s.candidates) : 0.0;
   state.SetLabel("fast path (" + level_label(*table) + "); prune rate " +
                  std::to_string(100.0 * rate) + "% of " +
-                 std::to_string(s.candidates) + " candidates");
+                 std::to_string(s.candidates) + " candidates; " +
+                 std::to_string(s.dtw_runs) + " DTWs in " +
+                 std::to_string(s.dtw_batches) + " kernel calls");
+}
+
+void BM_SeriesMatch(benchmark::State& state) {
+  run_series_match(state, std::numeric_limits<double>::infinity());
 }
 BENCHMARK(BM_SeriesMatch)->ArgNames({"simd"})->Arg(0)->Arg(1);
+
+// The tracker's case: alternates after the runner-up only up to the
+// TieBreaker's bar (TrackerConfig::tie_break_ratio, 3.0 by default).
+void BM_SeriesMatchTieBreakBar(benchmark::State& state) {
+  run_series_match(state, 3.0);
+}
+BENCHMARK(BM_SeriesMatchTieBreakBar)->ArgNames({"simd"})->Arg(0)->Arg(1);
 
 void BM_SeriesMatchNaive(benchmark::State& state) {
   const auto profile = noisy_sine(2000, 30.0, 4);

@@ -55,8 +55,10 @@ int main() {
               fast.size(), fast.end_time());
   std::printf("\nfraction-of-sweep  phase_slow(rad)  phase_fast(rad)\n");
   for (double f = 0.0; f <= 1.0; f += 0.1) {
-    const auto si = static_cast<std::size_t>(f * (slow.size() - 1));
-    const auto fi = static_cast<std::size_t>(f * (fast.size() - 1));
+    const auto si = static_cast<std::size_t>(
+        f * static_cast<double>(slow.size() - 1));
+    const auto fi = static_cast<std::size_t>(
+        f * static_cast<double>(fast.size() - 1));
     std::printf("%17.1f  %+15.3f  %+15.3f\n", f, slow.values[si],
                 fast.values[fi]);
   }

@@ -166,7 +166,8 @@ void produce(Shared& shared, std::size_t slot,
       accepted = 0;
     }
     t += dt;
-    const double theta = 1.4 * std::sin(0.37 * t + 0.2 * slot);
+    const double theta =
+        1.4 * std::sin(0.37 * t + 0.2 * static_cast<double>(slot));
     const double phi = phase_of(theta);
     for (std::size_t a = 0; a < 4; ++a) {
       m.h[0][a] = std::polar(1.0, phi);

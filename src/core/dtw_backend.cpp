@@ -36,8 +36,8 @@ DtwOrientationBackend::DtwOrientationBackend(const TrackerConfig& config)
       analyzer_({config_.matcher.window_s, config_.flat_spread_rad,
                  config_.moving_spread_rad}),
       slot_matcher_({config_.matcher, config_.neighbor_slots,
-                     config_.bias_correction,
-                     config_.soft_continuity_weight}),
+                     config_.bias_correction, config_.soft_continuity_weight,
+                     config_.tie_break_ratio}),
       relock_({config_.relock_distance, config_.relock_patience}),
       tie_breaker_(config_.tie_break_ratio) {}
 

@@ -47,8 +47,12 @@ class ModeArbiter {
   /// it is older than the configured staleness bound.
   [[nodiscard]] CameraDecision camera_output(double t_now) const noexcept;
 
-  /// Optional decision counters (fallback transitions, stale fallbacks).
-  void set_stats(obs::TrackerStats* stats) noexcept { stats_ = stats; }
+  /// Optional decision counters (fallback transitions, stale fallbacks,
+  /// IMU samples past the turn detector's cap).
+  void set_stats(obs::TrackerStats* stats) noexcept {
+    stats_ = stats;
+    steering_.set_stats(stats);
+  }
 
  private:
   SteeringIdentifier steering_;

@@ -46,6 +46,7 @@ OrientationEstimate OrientationEstimator::estimate(
   opt.start_stride = config_.start_stride;
   opt.dtw.band_fraction = config_.band_fraction;
   opt.max_dc_offset = config_.max_dc_offset_rad;
+  opt.tie_break_ratio = context.tie_break_ratio;
   const std::vector<double>& theta = position.orientation.values;
   // Continuity hint as a per-end-index penalty over the profile: the
   // matched segment's last sample carries the orientation estimate, so

@@ -11,6 +11,7 @@
 // ratio the forecaster (Eq. 6) needs.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/profile.h"
@@ -101,6 +102,10 @@ struct MatchContext {
   double soft_weight = 0.0;
   /// Session-wide curve offset subtracted from the window before matching.
   double phase_bias = 0.0;
+  /// Alternates after the runner-up are reported only up to the
+  /// tie-break bar of this ratio (dsp::tie_break_bar); +inf reports the
+  /// full top-K.
+  double tie_break_ratio = std::numeric_limits<double>::infinity();
 };
 
 /// Evaluates Algorithm 1 against one position's profile.

@@ -25,6 +25,7 @@ SlotMatcher::Result SlotMatcher::match(const CsiProfile& profile,
     const PositionProfile& pos = profile.positions[j];
     MatchContext context;
     context.hard_hint = hint;
+    context.tie_break_ratio = config_.tie_break_ratio;
     context.phase_bias = (config_.bias_correction && bias.have)
                              ? bias.stable_phi0 - pos.fingerprint_phase
                              : 0.0;

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 
 #include "core/orientation_estimator.h"
 #include "core/profile.h"
@@ -35,6 +36,9 @@ class SlotMatcher {
     bool bias_correction = true;
     /// Soft continuity prior weight for global matches (0 = disabled).
     double soft_continuity_weight = 0.0;
+    /// The TieBreaker's ratio: the estimates carry the alternates it can
+    /// weigh and none past its bar (+inf: the full top-K).
+    double tie_break_ratio = std::numeric_limits<double>::infinity();
   };
 
   SlotMatcher() = default;

@@ -1,5 +1,7 @@
 #include "core/steering_identifier.h"
 
+#include "obs/sink.h"
+
 namespace vihot::core {
 
 SteeringIdentifier::SteeringIdentifier()
@@ -10,6 +12,11 @@ SteeringIdentifier::SteeringIdentifier(const Config& config)
 
 void SteeringIdentifier::push_imu(const imu::ImuSample& sample) {
   detector_.update(sample);
+}
+
+void SteeringIdentifier::set_stats(obs::TrackerStats* stats) noexcept {
+  detector_.set_capped_counter(stats != nullptr ? &stats->imu_window_capped
+                                                : nullptr);
 }
 
 TrackingMode SteeringIdentifier::mode() const noexcept {

@@ -10,6 +10,10 @@
 
 #include "imu/turn_detector.h"
 
+namespace vihot::obs {
+struct TrackerStats;
+}  // namespace vihot::obs
+
 namespace vihot::core {
 
 /// Which estimator should drive the output right now.
@@ -39,6 +43,10 @@ class SteeringIdentifier {
   [[nodiscard]] bool car_turning() const noexcept {
     return detector_.is_turning();
   }
+
+  /// Counts IMU samples the turn detector drops past its sample cap into
+  /// stats->imu_window_capped (nullptr = off).
+  void set_stats(obs::TrackerStats* stats) noexcept;
 
  private:
   Config config_;

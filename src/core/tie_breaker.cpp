@@ -1,6 +1,5 @@
 #include "core/tie_breaker.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/sink.h"
@@ -10,7 +9,7 @@ namespace vihot::core {
 bool TieBreaker::apply(OrientationEstimate& estimate,
                        double last_theta_rad) const {
   if (!estimate.valid || estimate.candidates.size() < 2) return false;
-  const double bar = ratio_ * std::max(estimate.match_distance, 1e-6);
+  const double bar = this->bar(estimate.match_distance);
   const OrientationEstimate::AltCandidate* pick = nullptr;
   double pick_dev = std::abs(estimate.theta_rad - last_theta_rad);
   for (const auto& c : estimate.candidates) {

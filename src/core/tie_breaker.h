@@ -8,6 +8,7 @@
 #pragma once
 
 #include "core/orientation_estimator.h"
+#include "dsp/series_match.h"
 
 namespace vihot::obs {
 struct TrackerStats;
@@ -30,6 +31,12 @@ class TieBreaker {
   bool apply(OrientationEstimate& estimate, double last_theta_rad) const;
 
   [[nodiscard]] double ratio() const noexcept { return ratio_; }
+
+  /// Candidates beyond this distance are never weighed: the shared
+  /// dsp::tie_break_bar, at which the matcher also truncates its report.
+  [[nodiscard]] double bar(double match_distance) const noexcept {
+    return dsp::tie_break_bar(ratio_, match_distance);
+  }
 
   /// Optional activation counter (winners flipped by continuity).
   void set_stats(obs::TrackerStats* stats) noexcept { stats_ = stats; }

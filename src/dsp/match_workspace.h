@@ -1,38 +1,30 @@
-// Reusable scratch state for the segment-search hot loop.
+// Reusable scratch state for the segment search.
 //
-// Algorithm 1 evaluates ~num_lengths * (ref_len / stride) candidate
-// segments per neighbor slot, and the naive scan pays an allocation plus
-// an O(len) mean computation for every one of them. MatchWorkspace
-// hoists all of that out of the loop:
+// Algorithm 1 weighs ~num_lengths * (ref_len / stride) candidate segments
+// per neighbor slot. MatchWorkspace keeps everything the search needs
+// per candidate in buffers that keep their capacity across searches:
 //
 //   * prefix sums over the reference make any segment mean O(1);
-//   * the candidate scratch (shifted segments, query envelope, batched
-//     DTW scratch, hit list) lives in buffers that keep their capacity across
-//     candidates, scans, and estimates — the steady state allocates
-//     nothing. The double buffers are 32-byte aligned (simd.h) so the
-//     dispatched kernels stream them from vector-register boundaries.
+//   * one compact record per candidate (its bound and how it was
+//     obtained), grouped by candidate length, each group a min-heap;
+//   * the per-length query envelopes, the batched DTW scratch and the
+//     shifted-segment rows. The double buffers are 32-byte aligned
+//     (simd.h) so the dispatched kernels stream them from vector-register
+//     boundaries.
 //
-// One workspace serves one scan at a time; distinct threads use distinct
-// workspaces (find_best_match keeps a thread_local one for callers that
-// do not pass their own).
+// One workspace serves one search at a time; distinct threads use
+// distinct workspaces (find_best_match keeps a thread_local one for
+// callers that do not pass their own).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "dsp/simd.h"
 
 namespace vihot::dsp {
-
-/// One surviving candidate of a segment scan: distance is the normalized
-/// DTW distance, score is distance + the end_penalty at its last sample.
-struct MatchHit {
-  std::size_t start = 0;
-  std::size_t length = 0;
-  double distance = 0.0;
-  double score = 0.0;
-};
 
 /// Appends-free prefix sums: out[k] = xs[0] + ... + xs[k-1], out[0] = 0,
 /// accumulated left to right. Both the fast and the reference matcher
@@ -79,11 +71,39 @@ class DtwBatchBuffers {
   std::size_t stride_ = 0;
 };
 
-/// Scratch buffers for one segment scan (see file comment).
+/// One candidate segment of the search: 16 bytes, one per candidate.
+struct MatchCandidate {
+  /// Lower bound on the candidate's normalized DTW distance, tightened
+  /// as the search learns more; the exact distance once `state` says so.
+  double bound = 0.0;
+  std::uint32_t start = 0;         ///< start index in the reference
+  std::uint16_t length_index = 0;  ///< index into MatchWorkspace::lengths
+  std::uint8_t state = 0;          ///< how `bound` was obtained
+};
+
+/// One candidate length of the search and its group of records.
+struct MatchLength {
+  std::size_t length = 0;
+  double scale = 0.0;  ///< query length + length: the distance normalizer
+  /// The length's records live in candidates[first, first + capacity):
+  /// a min-heap prefix of heap_size records in the current round's order
+  /// and a tail of `pending` records no round has needed yet.
+  std::size_t first = 0;
+  std::size_t capacity = 0;
+  std::size_t heap_size = 0;
+  std::size_t pending = 0;
+  /// end_penalty viewed from the length's end sample (start indexes it),
+  /// or nullptr when the search has no penalty.
+  const double* end_penalty = nullptr;
+  std::size_t envelope = 0;  ///< offset of the envelope in env_lo/env_hi
+  bool envelope_ready = false;
+};
+
+/// Scratch buffers for one segment search (see file comment).
 class MatchWorkspace {
  public:
   /// (Re)binds the workspace to a reference series: rebuilds the prefix
-  /// sums. O(reference length); call once per find_best_match call.
+  /// sums. O(reference length); only the DC-offset adjustment reads them.
   void bind(std::span<const double> reference);
 
   /// Sum of reference[start, start + length) from the prefix sums.
@@ -96,13 +116,15 @@ class MatchWorkspace {
     return prefix_;
   }
 
-  // Per-scan scratch. Members are cleared/overwritten by the scan; they
-  // are public because the scan loop in series_match.cpp is the only
+  // Per-search scratch. Members are cleared/overwritten by the search;
+  // they are public because the search in series_match.cpp is the only
   // intended writer.
-  simd::AlignedVector env_lo;     ///< per-column query envelope minimum
-  simd::AlignedVector env_hi;     ///< per-column query envelope maximum
-  DtwBatchBuffers batch;          ///< lane-batched DTW scratch
-  std::vector<MatchHit> hits;     ///< surviving candidates of the scan
+  std::vector<MatchLength> lengths;        ///< candidate lengths, ascending
+  std::vector<MatchCandidate> candidates;  ///< per-length record groups
+  std::vector<MatchCandidate> parked;      ///< popped, due back in a heap
+  simd::AlignedVector env_lo;  ///< per-length query envelope minimum
+  simd::AlignedVector env_hi;  ///< per-length query envelope maximum
+  DtwBatchBuffers batch;       ///< lane-batched DTW scratch
 
  private:
   std::vector<double> prefix_;

@@ -1,27 +1,26 @@
-// Sliding best-match search of a query window inside a long reference
-// series — the computational kernel of ViHOT's Algorithm 1 (Sec. 3.4.5):
+// Best-match search of a query window inside a long reference series —
+// the computational kernel of ViHOT's Algorithm 1 (Sec. 3.4.5):
 //
 //   for all candidate lengths Ln in [0.5W, 2W] (step dL)
 //     for all start offsets tau_j in the profile
 //       d = DTW(query, profile[tau_j, tau_j + Ln])
 //   return the segment with minimum d
 //
-// The search is exhaustive over a configurable stride grid. The fast path
-// always prunes candidates through a cascaded lower-bound chain (endpoint
-// bound, then a band-envelope bound) and abandons hopeless DTW
-// evaluations early — while returning bit-identical best/runner-up/top-K
-// results to the unpruned find_best_match_reference (see DESIGN.md
-// "Matcher pruning invariants"): pruning only ever removes candidates
-// that the retention bar
-//
-//   distance <= runner_up_slack * best_score + runner_up_slack_abs
-//
-// would discard from the report anyway, and the winner always clears
-// that bar. The options are plain data; the only per-candidate input
-// beyond the two series is end_penalty, indexed by the candidate's last
-// sample.
+// The candidate set is exhaustive over a configurable stride grid, but
+// the fast path DTW-scores only the candidates the answer depends on. It
+// searches in rounds, each in lower-bound order: the first finds the
+// winner (minimum score), each later one the next non-overlapping top-K
+// pick. A candidate costs an O(1) endpoint bound up front, a band-envelope
+// bound when it first comes up in bound order, and a DTW (early-abandoned,
+// batched with same-length candidates) when it comes up again. It returns
+// results bit-identical to the unpruned find_best_match_reference (see
+// DESIGN.md "Matcher pruning invariants"): a candidate is skipped only
+// when a bound proves it cannot change the round it is in. The options
+// are plain data; the only per-candidate input beyond the two series is
+// end_penalty, indexed by the candidate's last sample.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -56,46 +55,51 @@ struct SeriesMatchOptions {
   /// the adjustment.
   double max_dc_offset = 0.0;
 
-  /// Retention bar: candidates with normalized distance within
-  /// runner_up_slack * best_score + runner_up_slack_abs survive into the
-  /// runner-up / top-K report; everything beyond is pruned when a lower
-  /// bound proves it, abandoned mid-DTW when a DP row does, and filtered
-  /// from the report even when evaluated. The additive term keeps the
-  /// report meaningful when the best score is ~0 (exact match), where a
-  /// purely multiplicative bar would starve the runner-up.
+  /// Retention bar: only candidates with normalized distance within
+  /// runner_up_slack * best_score + runner_up_slack_abs can enter the
+  /// runner-up / top-K report. The additive term keeps the report
+  /// meaningful when the best score is ~0 (exact match), where a purely
+  /// multiplicative bar would starve the runner-up.
   double runner_up_slack = 4.0;
   double runner_up_slack_abs = 0.05;
 
   /// How many mutually non-overlapping top candidates to report.
   std::size_t top_k = 4;
 
+  /// Tie-break ratio: picks after top[1] are reported only while their
+  /// distance is at most tie_break_bar(tie_break_ratio, winner distance),
+  /// the bar past which core::TieBreaker reads no alternate. +inf (the
+  /// default) reports the full top-K.
+  double tie_break_ratio = std::numeric_limits<double>::infinity();
+
   /// DTW options; `abandon_above` is tightened internally per batch.
   DtwOptions dtw{};
 
   /// Optional score penalty, one value per reference sample: a candidate
   /// ending at index e scores distance + end_penalty[e], and +inf
-  /// excludes it before it is counted or costs DTW work. Empty means no
-  /// penalty; any other size than the reference's makes the scan return
+  /// excludes it before it is counted or costs DTW work; finite values
+  /// must be >= 0. Empty means no penalty; any other size than the reference's makes the scan return
   /// found == false. ViHOT's continuity hint (OrientationEstimator) is
   /// +inf beyond the hard hint's reach plus the soft prior's quadratic
   /// penalty on the angular jump, which breaks twin-branch near-ties.
   std::span<const double> end_penalty;
 };
 
-/// Where the candidates of one scan went — the prune funnel. Every
+/// Where the candidates of one search went — the prune funnel. Every
 /// candidate not excluded by an infinite end_penalty lands in exactly one
-/// of the pruned/abandoned/evaluated buckets. The scan scores candidates in
-/// batches of simd::kDtwBatchLanes and reads the pruning bar once per
-/// batch, so which bucket a candidate lands in depends on the batch
-/// boundaries (a function of the inputs, identical for every kernel
-/// table and thread count), while the reported match does not.
+/// of the pruned/abandoned/evaluated buckets, by the last thing the search
+/// learned about it. Which bucket that is depends on the order the search
+/// visits candidates in (a function of the inputs, identical for every
+/// kernel table and thread count), while the reported match does not.
 struct SeriesMatchStats {
   std::uint64_t candidates = 0;         ///< candidates not excluded
-  std::uint64_t lb_endpoint_pruned = 0; ///< cut by the O(1) endpoint bound
-  std::uint64_t lb_band_pruned = 0;     ///< cut by the band-envelope bound
-  std::uint64_t dtw_abandoned = 0;      ///< DTW started but returned inf
-  std::uint64_t dtw_evaluated = 0;      ///< DTW completed with a finite d
-  std::uint64_t hits_filtered = 0;      ///< hits beyond the retention bar
+  std::uint64_t lb_endpoint_pruned = 0; ///< never needed past the endpoint bound
+  std::uint64_t lb_band_pruned = 0;     ///< band-bounded, never DTW-scored
+  std::uint64_t dtw_abandoned = 0;      ///< last DTW abandoned (returned inf)
+  std::uint64_t dtw_evaluated = 0;      ///< exact distance known
+  std::uint64_t hits_filtered = 0;      ///< exact, beyond the retention bar
+  std::uint64_t dtw_runs = 0;           ///< DTW lanes run, re-runs included
+  std::uint64_t dtw_batches = 0;        ///< dtw_banded_batch calls
 
   void add(const SeriesMatchStats& other) noexcept {
     candidates += other.candidates;
@@ -104,8 +108,19 @@ struct SeriesMatchStats {
     dtw_abandoned += other.dtw_abandoned;
     dtw_evaluated += other.dtw_evaluated;
     hits_filtered += other.hits_filtered;
+    dtw_runs += other.dtw_runs;
+    dtw_batches += other.dtw_batches;
   }
 };
+
+/// The tie-break bar of a match whose winner has `winner_distance`: the
+/// alternates core::TieBreaker weighs are those within ratio x
+/// max(winner_distance, 1e-6). The matcher truncates its top-K report at
+/// the same bar, so both read it from here.
+[[nodiscard]] inline double tie_break_bar(double ratio,
+                                          double winner_distance) noexcept {
+  return ratio * std::max(winner_distance, 1e-6);
+}
 
 /// Outcome of a segment search.
 struct SeriesMatch {
@@ -123,8 +138,10 @@ struct SeriesMatch {
   std::size_t runner_up_start = 0;
   std::size_t runner_up_length = 0;
 
-  /// Top candidates within the retention bar (ascending distance),
-  /// mutually non-overlapping. Size bounded by SeriesMatchOptions::top_k.
+  /// Top candidates within the retention bar in (distance, start,
+  /// length) order, mutually non-overlapping. Size bounded by
+  /// SeriesMatchOptions::top_k; entries after top[1] stop at the first
+  /// one beyond the tie-break bar.
   struct Candidate {
     std::size_t start = 0;
     std::size_t length = 0;
@@ -133,7 +150,7 @@ struct SeriesMatch {
   };
   std::vector<Candidate> top;
 
-  /// Prune funnel of this scan (how the result was reached).
+  /// Prune funnel of this search (how the result was reached).
   SeriesMatchStats scan;
 
   /// End index (exclusive) in the reference.
@@ -157,9 +174,10 @@ struct SeriesMatch {
                                           const SeriesMatchOptions& options,
                                           MatchWorkspace& workspace);
 
-/// Reference implementation: the same scan with no pruning, no early
-/// abandoning, no scratch reuse, and per-candidate allocations. Exists to
-/// pin the fast path down — the matcher-equivalence tests assert both
+/// Reference implementation: every candidate DTW-scored in scan order, no
+/// pruning, no early abandoning beyond options.dtw.abandon_above, no
+/// scratch reuse, and per-candidate allocations. Exists to pin the fast
+/// path down — the matcher-equivalence tests assert both
 /// return bit-identical results. It scores every candidate with
 /// dtw_distance, the scalar row-major kernel, whichever kernel table is
 /// active, so those tests hold the dispatched batch kernel to the scalar

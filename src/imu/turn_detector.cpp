@@ -2,13 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+
+#include "obs/metrics.h"
 
 namespace vihot::imu {
 
-TurnDetector::TurnDetector() : config_(Config{}) {}
+namespace {
 
-TurnDetector::TurnDetector(const Config& config) : config_(config) {}
+std::size_t window_sample_cap(double span_s) noexcept {
+  const double span = span_s > 0.0 ? std::min(span_s, 60.0) : 0.0;
+  return static_cast<std::size_t>(std::ceil(span * kMaxImuFeedRateHz)) + 1;
+}
+
+}  // namespace
+
+TurnDetector::TurnDetector() : TurnDetector(Config{}) {}
+
+TurnDetector::TurnDetector(const Config& config)
+    : config_(config), cap_(window_sample_cap(config.smooth_window_s)) {}
 
 bool TurnDetector::update(const ImuSample& sample) {
   window_.push_back(sample);
@@ -16,13 +27,18 @@ bool TurnDetector::update(const ImuSample& sample) {
          window_.front().t < sample.t - config_.smooth_window_s) {
     window_.pop_front();
   }
+  if (window_.size() > cap_) {
+    // Only a feed above kMaxImuFeedRateHz gets here: one push, one pop.
+    window_.pop_front();
+    if (capped_ != nullptr) capped_->inc();
+  }
   // Median over the window: robust to single-sample gyro glitches that
   // a mean would smear into a false turn.
-  std::vector<double> rates;
-  rates.reserve(window_.size());
-  for (const ImuSample& w : window_) rates.push_back(w.gyro_yaw_rad_s);
-  const auto mid = rates.begin() + static_cast<std::ptrdiff_t>(rates.size() / 2);
-  std::nth_element(rates.begin(), mid, rates.end());
+  rates_.clear();
+  for (const ImuSample& w : window_) rates_.push_back(w.gyro_yaw_rad_s);
+  const auto mid =
+      rates_.begin() + static_cast<std::ptrdiff_t>(rates_.size() / 2);
+  std::nth_element(rates_.begin(), mid, rates_.end());
   smoothed_ = std::abs(*mid);
 
   if (turning_raw_) {

@@ -7,11 +7,24 @@
 // quickly enough to beat the CSI matcher's window.
 #pragma once
 
+#include <cstddef>
 #include <deque>
+#include <vector>
 
 #include "imu/imu.h"
 
+namespace vihot::obs {
+class Counter;
+}  // namespace vihot::obs
+
 namespace vihot::imu {
+
+/// Highest IMU feed rate (samples/s) the detector's window is sized for:
+/// 10x a 200 Hz phone IMU (the simulator feeds 100 Hz), so no legitimate
+/// feed reaches the cap derived from it. A hostile feeder (equal or
+/// nanosecond-spaced timestamps) defeats the time-based trim; the cap
+/// bounds its memory and per-sample median work instead.
+inline constexpr double kMaxImuFeedRateHz = 2000.0;
 
 /// Streaming detector; feed samples in time order, query at any point.
 class TurnDetector {
@@ -47,9 +60,27 @@ class TurnDetector {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
+  /// Samples in the smoothing window (at most window_cap()).
+  [[nodiscard]] std::size_t window_size() const noexcept {
+    return window_.size();
+  }
+
+  /// The window's sample cap: its span at kMaxImuFeedRateHz, the span
+  /// clamped to [0, 60] s so an unvalidated config still gets a finite
+  /// cap.
+  [[nodiscard]] std::size_t window_cap() const noexcept { return cap_; }
+
+  /// Counts samples dropped past the sample cap (nullptr = off).
+  void set_capped_counter(obs::Counter* counter) noexcept {
+    capped_ = counter;
+  }
+
  private:
   Config config_;
+  std::size_t cap_;
+  obs::Counter* capped_ = nullptr;  ///< not owned; may be nullptr
   std::deque<ImuSample> window_;
+  std::vector<double> rates_;  ///< median scratch, reused across samples
   double smoothed_ = 0.0;
   bool turning_raw_ = false;
   bool turning_latched_ = false;

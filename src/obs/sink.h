@@ -54,6 +54,9 @@ namespace vihot::obs {
   /* Oldest phase-history samples dropped past the per-session sample     \
      cap (a feed far above kMaxCsiFeedRateHz, e.g. equal timestamps). */  \
   C(csi_history_capped, "csi_history_capped")                             \
+  /* Oldest turn-detector window samples dropped past its sample cap (an  \
+     IMU feed far above kMaxImuFeedRateHz, e.g. equal timestamps). */     \
+  C(imu_window_capped, "imu_window_capped")                               \
                                                                           \
   /* Stage 1: ModeArbiter. */                                             \
   C(fallback_engaged, "fallback_engaged") /* CSI -> camera fallback */    \
@@ -72,7 +75,8 @@ namespace vihot::obs {
   C(match_invalid, "match_invalid")   /* attempts with no candidate */    \
   /* Segment-search prune funnel (dsp::SeriesMatchStats, aggregated per   \
      neighborhood): every candidate the continuity hint allows lands in   \
-     exactly one of the pruned/abandoned/evaluated buckets, so            \
+     exactly one of the pruned/abandoned/evaluated buckets, by the last   \
+     thing the search learned about it (DESIGN.md §5e), so                \
        candidates = lb_endpoint + lb_band + abandoned + evaluated         \
      and the prune rate is 1 - evaluated / candidates. */                 \
   C(match_candidates, "match_candidates")                                 \
@@ -80,10 +84,11 @@ namespace vihot::obs {
   C(match_lb_band_pruned, "match_lb_band_pruned")                         \
   C(match_dtw_abandoned, "match_dtw_abandoned")                           \
   C(match_dtw_evaluated, "match_dtw_evaluated")                           \
-  /* Hits beyond the retention bar. */                                    \
+  /* Exact distances beyond the retention bar. */                         \
   C(match_hits_filtered, "match_hits_filtered")                           \
   H(dtw_best_cost, "dtw_best_cost", 0.001, 0.002, 0.005, 0.01, 0.02,      \
     0.05, 0.1, 0.25)                                                      \
+  /* Alternates of the winning estimate, up to the tie-break bar. */      \
   H(dtw_candidates, "dtw_candidates", 0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0,  \
     12.0)                                                                 \
   H(phase_bias_abs, "phase_bias_abs", 0.01, 0.02, 0.05, 0.1, 0.2, 0.4,    \

@@ -166,11 +166,7 @@ LoadedLog LoadedLog::load(const std::string& path) {
       case ChunkType::kTickEnd:
         break;
       case ChunkType::kFooter: {
-        (void)in.get_u64();  // csi
-        (void)in.get_u64();  // imu
-        (void)in.get_u64();  // camera
-        (void)in.get_u64();  // ticks
-        (void)in.get_u64();  // sessions
+        in.skip(5 * 8);  // csi, imu, camera, ticks, sessions counts
         log.summary_.staging_drops = in.get_u64();
         log.summary_.truncated = in.get_u8() != 0;
         if (!in.ok()) {

@@ -110,6 +110,9 @@ class Cursor {
   [[nodiscard]] std::uint32_t get_u32();
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] double get_f64();
+  /// Steps over `n` bytes of fields the reader does not keep; fails like
+  /// a read when fewer remain.
+  void skip(std::size_t n) { (void)take(n); }
 
   [[nodiscard]] bool ok() const noexcept { return !failed_; }
   [[nodiscard]] std::size_t remaining() const noexcept {

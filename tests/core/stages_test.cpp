@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/mode_arbiter.h"
 #include "core/relock_policy.h"
 #include "core/slot_matcher.h"
 #include "core/tie_breaker.h"
 #include "core/window_analyzer.h"
+#include "dsp/series_match.h"
 #include "obs/sink.h"
 #include "tests/core/test_helpers.h"
 #include "util/rng.h"
@@ -468,6 +470,65 @@ TEST(TieBreakerTest, IgnoresInvalidAndUnambiguous) {
   single.candidates.push_back({0.01, 1.0, 1.0, 0, 10});
   EXPECT_FALSE(breaker.apply(single, 0.0));
   EXPECT_DOUBLE_EQ(single.theta_rad, 1.0);
+}
+
+// The matcher truncates its alternates at the TieBreaker's own bar (one
+// shared function), so a truncated estimate weighs exactly what the full
+// one would.
+TEST(TieBreakerTest, MatcherTruncatesAtTheBreakersBar) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double ratio : {0.0, 0.5, 1.0, 3.0, 1e9, kInf}) {
+    const TieBreaker breaker(ratio);
+    for (const double d : {0.0, 5e-7, 1e-6, 0.01, 2.5}) {
+      EXPECT_EQ(breaker.bar(d), dsp::tie_break_bar(ratio, d));
+    }
+  }
+
+  const CsiProfile profile = testing::synthetic_profile(5);
+  const auto theta_fn = [](double t) { return -0.8 + 1.5 * (t - 1.0); };
+  const util::TimeSeries stream =
+      stream_for(theta_fn, 0.9, 1.6, profile.positions[2].fingerprint_phase);
+  const SlotMatcher full_matcher({MatcherConfig{}, 1, true, 0.0});
+  bool truncated = false;
+  for (const double t : {1.3, 1.4, 1.5}) {
+    const OrientationEstimate full =
+        full_matcher.match(profile, stream, 2, t, nullptr, true, 0.0, {})
+            .estimate;
+    ASSERT_TRUE(full.valid);
+    for (const double ratio : {0.5, 1.05, 1.5, 3.0}) {
+      const SlotMatcher matcher({MatcherConfig{}, 1, true, 0.0, ratio});
+      const OrientationEstimate cut =
+          matcher.match(profile, stream, 2, t, nullptr, true, 0.0, {})
+              .estimate;
+      const TieBreaker breaker(ratio);
+      const double bar = breaker.bar(full.match_distance);
+      std::size_t keep = full.candidates.size();
+      for (std::size_t i = 2; i < full.candidates.size(); ++i) {
+        if (full.candidates[i].distance > bar) {
+          keep = i;
+          break;
+        }
+      }
+      truncated = truncated || keep < full.candidates.size();
+      ASSERT_EQ(cut.candidates.size(), keep) << t << " " << ratio;
+      EXPECT_EQ(cut.theta_rad, full.theta_rad);
+      EXPECT_EQ(cut.match_distance, full.match_distance);
+      EXPECT_EQ(cut.runner_up_distance, full.runner_up_distance);
+      for (std::size_t i = 0; i < keep; ++i) {
+        EXPECT_EQ(cut.candidates[i].distance, full.candidates[i].distance);
+        EXPECT_EQ(cut.candidates[i].match_start,
+                  full.candidates[i].match_start);
+      }
+      for (const double last : {-1.2, -0.4, 0.0, 0.6, 1.2}) {
+        OrientationEstimate a = full;
+        OrientationEstimate b = cut;
+        EXPECT_EQ(breaker.apply(a, last), breaker.apply(b, last));
+        EXPECT_EQ(a.theta_rad, b.theta_rad);
+        EXPECT_EQ(a.match_start, b.match_start);
+      }
+    }
+  }
+  EXPECT_TRUE(truncated) << "no ratio cut an alternate";
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <span>
 #include <string>
@@ -204,12 +205,14 @@ TEST(MatcherEquivalence, RunnerUpSurvivesExactWinnerPruning) {
 }
 
 // Top-K oracle. find_best_match_reference shares the matcher's report
-// assembly (winner, retention filter, top-K selection), so comparing the
-// two cannot catch a selection bug. This oracle shares none of it: it
+// assembly (winner, retention filter, top-K selection, tie-break bar), so
+// comparing the two cannot catch a selection bug. This oracle shares none
+// of it: it
 // scores every candidate through the plain dtw_distance with the same
 // arithmetic as the scan (prefix-sum means, segment-side DC shift,
 // length normalization), fully sorts the retained hits by (distance,
-// start, length) and runs the greedy non-overlap pick.
+// start, length), runs the greedy non-overlap pick and truncates it at
+// its own copy of the tie-break bar.
 SeriesMatch oracle_match(std::span<const double> query,
                          std::span<const double> reference,
                          const SeriesMatchOptions& opt) {
@@ -288,6 +291,9 @@ SeriesMatch oracle_match(std::span<const double> query,
     if (a.start != b.start) return a.start < b.start;
     return a.length < b.length;
   });
+  // Picks after top[1] stop at the first one beyond the tie-break bar.
+  const double tie_bar =
+      opt.tie_break_ratio * std::max(best.distance, 1e-6);
   for (const Hit& h : kept) {
     if (best.top.size() >= std::max<std::size_t>(opt.top_k, 1)) break;
     const bool clash =
@@ -295,7 +301,9 @@ SeriesMatch oracle_match(std::span<const double> query,
                     [&](const SeriesMatch::Candidate& c) {
                       return h.start < c.end() && c.start < h.start + h.length;
                     });
-    if (!clash) best.top.push_back({h.start, h.length, h.distance});
+    if (clash) continue;
+    if (best.top.size() >= 2 && h.distance > tie_bar) break;
+    best.top.push_back({h.start, h.length, h.distance});
   }
   if (best.top.size() >= 2) {
     best.runner_up = best.top[1].distance;
@@ -351,6 +359,206 @@ TEST(MatcherEquivalence, TopKMatchesSortingOracle) {
       }
     }
   }
+}
+
+// Both oracles, one verdict: the fast path must equal the reference scan
+// and the independent oracle, report and candidate count alike.
+void expect_matches_both_oracles(std::span<const double> query,
+                                 std::span<const double> reference,
+                                 const SeriesMatchOptions& opt,
+                                 const std::string& what) {
+  const SeriesMatch fast = find_best_match(query, reference, opt);
+  const SeriesMatch naive = find_best_match_reference(query, reference, opt);
+  const SeriesMatch oracle = oracle_match(query, reference, opt);
+  expect_same_match(fast, naive, (what + " vs reference").c_str());
+  expect_same_match(fast, oracle, (what + " vs oracle").c_str());
+  EXPECT_EQ(fast.scan.candidates, naive.scan.candidates) << what;
+}
+
+// Tie-break ratios: the full top-K, the tracker's default, a tight bar and
+// one below the winner's own distance.
+constexpr double kTieRatios[] = {std::numeric_limits<double>::infinity(),
+                                 3.0, 1.2, 0.5};
+
+// The options of `cfg` with one top_k and tie-break ratio.
+SeriesMatchOptions with_picks(const NamedOptions& cfg, std::size_t top_k,
+                              double ratio) {
+  SeriesMatchOptions opt = cfg.options();
+  opt.top_k = top_k;
+  opt.tie_break_ratio = ratio;
+  return opt;
+}
+
+// Values on a 0.25 grid: many candidates share bit-identical distances,
+// so every round's (distance, start, length) and scan-order tie-breaks
+// decide the report.
+TEST(MatcherEquivalence, QuantizedSeriesWithManyEqualDistances) {
+  auto reference = noisy_sine(600, 48.0, 71);
+  for (double& v : reference) v = std::round(4.0 * v) / 4.0;
+  const std::vector<double> query(reference.begin() + 200,
+                                  reference.begin() + 230);
+  for (const NamedOptions& cfg : option_matrix(reference.size())) {
+    for (const std::size_t k : {std::size_t{4}, std::size_t{64}}) {
+      for (const double ratio : kTieRatios) {
+        expect_matches_both_oracles(
+            query, reference, with_picks(cfg, k, ratio),
+            std::string("quantized/") + cfg.name + "/k=" + std::to_string(k) +
+                "/ratio=" + std::to_string(ratio));
+      }
+    }
+  }
+}
+
+// A zero query against a zero stretch: candidates of every length inside
+// the stretch tie at distance 0. The +inf ends keep the short lengths off
+// the stretch's start, so the winner (first in scan order: length, then
+// start) and top[0] (least start, then length) are different segments.
+TEST(MatcherEquivalence, TiesAcrossLengths) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> reference(400, 1.0);
+  std::fill(reference.begin() + 100, reference.begin() + 160, 0.0);
+  const std::vector<double> query(30, 0.0);
+  std::vector<double> penalty(reference.size(), 0.0);
+  std::fill(penalty.begin(), penalty.begin() + 130, kInf);
+  SeriesMatchOptions opt;
+  opt.dtw.band_fraction = 0.25;
+  opt.end_penalty = penalty;
+  const SeriesMatch m = find_best_match(query, reference, opt);
+  ASSERT_TRUE(m.found);
+  EXPECT_EQ(m.distance, 0.0);
+  ASSERT_GE(m.top.size(), 2u);
+  EXPECT_EQ(m.top[0].distance, 0.0);
+  EXPECT_NE(m.top[0].length, m.length) << "ties across lengths exercised";
+  EXPECT_LT(m.top[0].start, m.start);
+  for (const std::size_t k : {std::size_t{4}, std::size_t{64}}) {
+    for (const double ratio : kTieRatios) {
+      SeriesMatchOptions o = opt;
+      o.top_k = k;
+      o.tie_break_ratio = ratio;
+      expect_matches_both_oracles(query, reference, o,
+                                  "ties_across_lengths/k=" +
+                                      std::to_string(k) + "/ratio=" +
+                                      std::to_string(ratio));
+    }
+  }
+}
+
+// A finite penalty strong enough that the least score and the least
+// distance are different candidates: the winner round and the pick
+// rounds order the same records differently.
+TEST(MatcherEquivalence, FinitePenaltiesReorderScoreAgainstDistance) {
+  const auto reference = noisy_sine(600, 48.0, 81);
+  const auto query = noisy_sine(30, 48.0, 82);
+  std::vector<double> penalty(reference.size());
+  for (std::size_t e = 0; e < penalty.size(); ++e) {
+    const double dev = static_cast<double>(e) - 420.0;
+    penalty[e] = 2e-6 * dev * dev;
+  }
+  SeriesMatchOptions opt;
+  opt.dtw.band_fraction = 0.25;
+  opt.end_penalty = penalty;
+  const SeriesMatch m = find_best_match(query, reference, opt);
+  ASSERT_TRUE(m.found);
+  ASSERT_FALSE(m.top.empty());
+  EXPECT_LT(m.top[0].distance, m.distance) << "the penalty reordered them";
+  EXPECT_GT(m.score, m.distance);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                              std::size_t{64}}) {
+    for (const double ratio : kTieRatios) {
+      SeriesMatchOptions o = opt;
+      o.top_k = k;
+      o.tie_break_ratio = ratio;
+      expect_matches_both_oracles(query, reference, o,
+                                  "reordering_penalty/k=" +
+                                      std::to_string(k) + "/ratio=" +
+                                      std::to_string(ratio));
+    }
+  }
+}
+
+// The ratio whose tie-break bar is exactly `bar` for a winner at
+// `winner_distance`, or NaN when no double in a few ulps hits it.
+double ratio_for_exact_bar(double bar, double winner_distance) {
+  const double base = std::max(winner_distance, 1e-6);
+  double ratio = bar / base;
+  for (int i = 0; i < 64 && tie_break_bar(ratio, winner_distance) != bar;
+       ++i) {
+    ratio = tie_break_bar(ratio, winner_distance) < bar
+                ? std::nextafter(ratio, std::numeric_limits<double>::infinity())
+                : std::nextafter(ratio, 0.0);
+  }
+  return tie_break_bar(ratio, winner_distance) == bar
+             ? ratio
+             : std::numeric_limits<double>::quiet_NaN();
+}
+
+// Bars between consecutive picks cut the report right there, never
+// before top[1]; a pick whose distance equals the bar is kept.
+TEST(MatcherEquivalence, TieBreakBarTruncatesBetweenPicks) {
+  const auto reference = noisy_sine(600, 48.0, 91);
+  const auto query = noisy_sine(30, 48.0, 92);
+  for (const NamedOptions& cfg : option_matrix(reference.size())) {
+    const SeriesMatch full = find_best_match(query, reference,
+                                             with_picks(cfg, 6, std::numeric_limits<double>::infinity()));
+    ASSERT_GE(full.top.size(), 5u) << cfg.name;
+    for (std::size_t j = 1; j + 1 < full.top.size(); ++j) {
+      // Midway between picks j and j + 1.
+      const double bar =
+          0.5 * (full.top[j].distance + full.top[j + 1].distance);
+      const double ratio = bar / std::max(full.distance, 1e-6);
+      const SeriesMatchOptions opt = with_picks(cfg, 6, ratio);
+      const std::string what = std::string("between/") + cfg.name +
+                               "/after_pick=" + std::to_string(j);
+      expect_matches_both_oracles(query, reference, opt, what);
+      const SeriesMatch cut = find_best_match(query, reference, opt);
+      if (full.top[j].distance < full.top[j + 1].distance) {
+        EXPECT_EQ(cut.top.size(), std::max<std::size_t>(j + 1, 2)) << what;
+      }
+    }
+    // Exactly at pick 2's distance: kept, and pick 3 only if it ties.
+    const double exact =
+        ratio_for_exact_bar(full.top[2].distance, full.distance);
+    ASSERT_FALSE(std::isnan(exact)) << cfg.name;
+    const SeriesMatchOptions at_bar = with_picks(cfg, 6, exact);
+    const std::string what = std::string("at_bar/") + cfg.name;
+    expect_matches_both_oracles(query, reference, at_bar, what);
+    const SeriesMatch kept = find_best_match(query, reference, at_bar);
+    ASSERT_GE(kept.top.size(), 3u) << what;
+    EXPECT_EQ(kept.top[2].distance, full.top[2].distance) << what;
+    EXPECT_EQ(kept.top[2].start, full.top[2].start) << what;
+  }
+}
+
+// A ratio below 1 puts the bar under the winner's own distance: the
+// report keeps top[0] and top[1] and nothing after them.
+TEST(MatcherEquivalence, TieBreakRatioBelowOne) {
+  const auto reference = noisy_sine(600, 48.0, 101);
+  const auto query = noisy_sine(30, 48.0, 102);
+  for (const NamedOptions& cfg : option_matrix(reference.size())) {
+    for (const double ratio : {0.9, 0.5, 0.0}) {
+      const SeriesMatchOptions opt = with_picks(cfg, 4, ratio);
+      const std::string what =
+          std::string("below_one/") + cfg.name + "/" + std::to_string(ratio);
+      expect_matches_both_oracles(query, reference, opt, what);
+      const SeriesMatch m = find_best_match(query, reference, opt);
+      EXPECT_LE(m.top.size(), 2u) << what;
+    }
+  }
+}
+
+// Every candidate excluded by +inf penalties: nothing found, nothing
+// counted, and the search ends although it never had a record.
+TEST(MatcherEquivalence, EveryCandidateExcludedFindsNothing) {
+  const auto reference = noisy_sine(300, 48.0, 111);
+  const auto query = noisy_sine(30, 48.0, 112);
+  const std::vector<double> penalty(reference.size(),
+                                    std::numeric_limits<double>::infinity());
+  SeriesMatchOptions opt;
+  opt.end_penalty = penalty;
+  const SeriesMatch m = find_best_match(query, reference, opt);
+  EXPECT_FALSE(m.found);
+  EXPECT_EQ(m.scan.candidates, 0u);
+  expect_matches_both_oracles(query, reference, opt, "all_excluded");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstring>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "engine/worker_pool.h"
+#include "imu/turn_detector.h"
 #include "obs/sink.h"
 #include "replay/vrlog.h"
 #include "tests/core/test_helpers.h"
@@ -449,6 +451,37 @@ TEST(TrackerEngineTest, RejectsAndCountsOutOfOrderFeeds) {
   // earlier clock is unaffected.
   const SessionId other = engine.create_session(profile);
   EXPECT_TRUE(engine.push_csi(other, measurement(0.1, 0.1)));
+}
+
+TEST(TrackerEngineTest, EqualTimestampImuFeedStaysBounded) {
+  // Equal timestamps defeat the turn detector's time-based trim. Its
+  // sample cap keeps the window (memory) and every push's median (time)
+  // bounded: all samples past the cap are dropped and counted, and the
+  // last chunk of the burst costs about what the first did. Without the
+  // cap the window grows with the burst and the last chunk costs ~7x.
+  obs::Sink sink;
+  TrackerEngine engine({0, &sink});
+  const SessionId id =
+      engine.create_session(engine.add_profile(synthetic_profile(3)));
+  imu::ImuSample s;
+  s.t = 1.0;
+  constexpr std::size_t kChunk = 20000;
+  constexpr int kChunks = 4;
+  double chunk_ms[kChunks] = {};
+  for (int c = 0; c < kChunks; ++c) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      s.gyro_yaw_rad_s = i % 2 == 0 ? 0.3 : -0.3;
+      ASSERT_TRUE(engine.push_imu(id, s));
+    }
+    chunk_ms[c] = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+  }
+  const std::size_t cap = imu::TurnDetector().window_cap();
+  EXPECT_EQ(sink.tracker.imu_window_capped.value(),
+            static_cast<std::uint64_t>(kChunks * kChunk - cap));
+  EXPECT_LT(chunk_ms[kChunks - 1], 3.0 * chunk_ms[0] + 50.0);
 }
 
 TEST(TrackerEngineTest, PopulatesEngineMetrics) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstddef>
+
+#include "obs/metrics.h"
 #include "util/rng.h"
 
 namespace vihot::imu {
@@ -93,6 +97,31 @@ TEST(TurnDetectorTest, NegativeYawDetectedToo) {
   for (; t < 0.5; t += 0.01) det.update(sample(t, 0.0));
   for (; t < 1.5; t += 0.01) det.update(sample(t, -0.3));
   EXPECT_TRUE(det.is_turning());
+}
+
+TEST(TurnDetectorTest, EqualTimestampsStayWithinTheSampleCap) {
+  // Equal timestamps defeat the time-based trim; the sample cap bounds
+  // the window, and every sample dropped past it is counted.
+  obs::Counter capped;
+  TurnDetector det;
+  det.set_capped_counter(&capped);
+  const std::size_t cap = det.window_cap();
+  EXPECT_EQ(cap, static_cast<std::size_t>(std::ceil(
+                     det.config().smooth_window_s * kMaxImuFeedRateHz)) +
+                     1);
+  constexpr std::size_t kSamples = 20000;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    det.update(sample(1.0, i % 2 == 0 ? 0.3 : -0.3));
+  }
+  EXPECT_EQ(det.window_size(), cap);
+  EXPECT_EQ(capped.value(), kSamples - cap);
+
+  // A clean 100 Hz feed never reaches the cap.
+  obs::Counter clean_capped;
+  TurnDetector clean;
+  clean.set_capped_counter(&clean_capped);
+  for (int i = 0; i < 5000; ++i) clean.update(sample(0.01 * i, 0.1));
+  EXPECT_EQ(clean_capped.value(), 0u);
 }
 
 }  // namespace

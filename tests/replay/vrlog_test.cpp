@@ -72,6 +72,20 @@ TEST(Cursor, FailsSoftPastTheEnd) {
   EXPECT_EQ(in.get_u32(), 0u);  // stays failed
 }
 
+TEST(Cursor, SkipStepsOverFieldsAndFailsLikeARead) {
+  std::vector<unsigned char> buf;
+  put_u64(buf, 1);
+  put_u64(buf, 2);
+  put_u8(buf, 9);
+  Cursor in(buf.data(), buf.size());
+  in.skip(8);
+  EXPECT_EQ(in.get_u64(), 2u);
+  EXPECT_EQ(in.remaining(), 1u);
+  in.skip(8);  // one byte left: fails, reads nothing more
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(in.get_u8(), 0u);
+}
+
 TEST(Framing, AppendAndScanOneChunk) {
   std::vector<unsigned char> log = file_preamble();
   const unsigned char payload[] = {1, 2, 3, 4, 5};
