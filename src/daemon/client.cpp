@@ -5,6 +5,8 @@ namespace vihot::daemon {
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
+/// The default reply timeout of the other verbs.
+constexpr int kSubscribeAckTimeoutMs = 5000;
 
 }  // namespace
 
@@ -142,7 +144,8 @@ bool Client::send_tick(double t) {
 bool Client::subscribe(const SubscribeRequest& req) {
   std::vector<unsigned char> payload;
   encode_subscribe(payload, req);
-  return send_msg(MsgType::kSubscribe, payload);
+  if (!send_msg(MsgType::kSubscribe, payload)) return false;
+  return expect(MsgType::kSubscribeAck, kSubscribeAckTimeoutMs).has_value();
 }
 
 bool Client::unsubscribe() {

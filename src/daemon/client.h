@@ -49,6 +49,9 @@ class Client {
 
   // --- Subscriber verbs -------------------------------------------------
 
+  /// Subscribes and waits (up to 5 s) for the daemon's kSubscribeAck:
+  /// once this returns true, every later tick's results reach this
+  /// client.
   bool subscribe(const SubscribeRequest& req = {});
   bool unsubscribe();
 

@@ -75,6 +75,7 @@ enum class MsgType : std::uint32_t {
   kHelloAck = 0x81,       ///< u32 version
   kSessionAck = 0x82,     ///< u64 client sid, u64 global sid
   kSessionClosed = 0x83,  ///< u64 client sid
+  kSubscribeAck = 0x84,   ///< empty: registered, every later tick reaches it
   kResults = 0x90,        ///< f64 t_now, u64 n, n x (u64 sid, TrackResult)
   kHealthReport = 0xA0,   ///< raw JSON bytes
   kError = 0xE0,          ///< u32 code, u32 len, message bytes

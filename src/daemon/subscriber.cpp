@@ -8,9 +8,9 @@ namespace vihot::daemon {
 
 namespace {
 
-FrameBytes bye_frame() {
+FrameBytes empty_frame(MsgType type) {
   auto bytes = std::make_shared<std::vector<unsigned char>>();
-  append_frame(*bytes, MsgType::kBye, nullptr, 0);
+  append_frame(*bytes, type, nullptr, 0);
   return bytes;
 }
 
@@ -33,8 +33,17 @@ std::uint64_t SubscriberHub::add(std::shared_ptr<Stream> conn,
 
 void SubscriberHub::writer_loop(Sub& sub) {
   bool drained_clean = false;
+  // The ack goes out before the first queued frame. It is not queued,
+  // so no overload policy can displace it.
+  FrameBytes frame = empty_frame(MsgType::kSubscribeAck);
   for (;;) {
-    FrameBytes frame;
+    if (!sub.conn->send_all(frame->data(), frame->size())) {
+      std::lock_guard<std::mutex> lk(sub.mu);
+      sub.dead = true;
+      if (sink_ != nullptr) sink_->daemon.sub_send_errors.inc();
+      break;
+    }
+    if (sink_ != nullptr) sink_->daemon.bytes_tx.inc(frame->size());
     {
       std::unique_lock<std::mutex> lk(sub.mu);
       sub.not_empty.wait(lk, [&] {
@@ -49,18 +58,11 @@ void SubscriberHub::writer_loop(Sub& sub) {
       sub.queue.pop_front();
       sub.not_full.notify_all();
     }
-    if (!sub.conn->send_all(frame->data(), frame->size())) {
-      std::lock_guard<std::mutex> lk(sub.mu);
-      sub.dead = true;
-      if (sink_ != nullptr) sink_->daemon.sub_send_errors.inc();
-      break;
-    }
-    if (sink_ != nullptr) sink_->daemon.bytes_tx.inc(frame->size());
   }
   if (drained_clean) {
     // Graceful close: the queue drained inside the deadline, so the
     // stream ends with an explicit kBye marker.
-    const FrameBytes bye = bye_frame();
+    const FrameBytes bye = empty_frame(MsgType::kBye);
     if (sub.conn->send_all(bye->data(), bye->size()) && sink_ != nullptr) {
       sink_->daemon.bytes_tx.inc(bye->size());
     }

@@ -58,7 +58,9 @@ class SubscriberHub {
 
   /// Registers a subscriber writing to `conn` (shared with the daemon's
   /// connection bookkeeping; the hub only ever calls send_all /
-  /// shutdown_both on it). Returns its id.
+  /// shutdown_both on it). Returns its id. The subscriber's first frame
+  /// is a kSubscribeAck, sent by its writer ahead of every broadcast
+  /// frame, so a client that has read the ack misses no later tick.
   std::uint64_t add(std::shared_ptr<Stream> conn,
                     const SubscriberOptions& options);
 

@@ -1,20 +1,20 @@
-// Async sharded ingest front-end (the decoupling tier between feed
-// producers and the tracking core).
+// Async ingest front-end (the decoupling tier between feed producers
+// and the tracking core).
 //
 // The synchronous push_* path makes every producer thread take the
 // session mutex and run the tracker's per-sample work (sanitizer,
 // stability detector, buffer trim) inline — a phone-rate CSI stream
 // stalls whenever its session is mid-estimate. The async tier inverts
 // that: producers copy samples into per-session bounded IngestRings and
-// return immediately; the engine's drain step batch-applies everything
-// queued right before each estimate_all() tick, sharded across ingest
-// lanes so the worker pool drains many sessions concurrently (a session
-// lives in exactly one lane, so its samples are applied in offer order).
+// return immediately; the engine applies everything queued in batch,
+// one worker-pool job per session (the job that then estimates that
+// session in estimate_all()), so a session's samples are applied in
+// offer order by exactly one drainer.
 //
 // Overload is an explicit policy, never an unbounded buffer:
 //
 //   kBlock      producer spins (yield) until the drain frees a slot —
-//               lossless up to max_block_spins, then counts a timeout
+//               lossless up to kMaxBlockSpins, then counts a timeout
 //               and drops the sample instead of deadlocking a fleet
 //               whose consumer died;
 //   kDropOldest producer displaces the oldest queued sample (freshest
@@ -33,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "camera/camera_tracker.h"
 #include "engine/ingest_ring.h"
@@ -63,7 +62,7 @@ namespace vihot::engine {
 
 /// What a producer does when a session's ingest ring is full.
 enum class OverloadPolicy : std::uint8_t {
-  kBlock,       ///< spin-yield until space (bounded by max_block_spins)
+  kBlock,       ///< spin-yield until space (bounded by kMaxBlockSpins)
   kDropOldest,  ///< displace queued samples; freshest data wins
   kDropNewest,  ///< reject the incoming sample; oldest prefix wins
 };
@@ -77,19 +76,15 @@ struct IngestConfig {
   std::size_t imu_capacity = 512;
 
   OverloadPolicy policy = OverloadPolicy::kDropOldest;
-
-  /// Ingest lanes the FeedRouter shards sessions across. 0 = one lane
-  /// per engine worker thread (minimum 1).
-  std::size_t lanes = 0;
-
-  /// Fraction of capacity above which an enqueue counts a high-watermark
-  /// event (early congestion signal, before anything is dropped).
-  double high_watermark = 0.75;
-
-  /// kBlock gives up (counts a timeout, drops the sample) after this
-  /// many yield spins, so a dead consumer cannot wedge its producers.
-  std::size_t max_block_spins = 1u << 18;
 };
+
+/// Fraction of capacity above which an enqueue counts a high-watermark
+/// event (early congestion signal, before anything is dropped).
+inline constexpr double kHighWatermark = 0.75;
+
+/// kBlock gives up (counts a timeout, drops the sample) after this many
+/// yield spins, so a dead consumer cannot wedge its producers.
+inline constexpr std::size_t kMaxBlockSpins = std::size_t{1} << 18;
 
 /// One session's bounded ingest queues (one ring per feed stream). Each
 /// stream must have a single producer thread at a time — the rings are
@@ -101,11 +96,9 @@ class SessionIngest {
       : csi_(config.csi_capacity),
         imu_(config.imu_capacity),
         policy_(config.policy),
-        max_block_spins_(config.max_block_spins),
-        stats_(stats) {
-    csi_mark_ = mark_of(csi_.capacity(), config.high_watermark);
-    imu_mark_ = mark_of(imu_.capacity(), config.high_watermark);
-  }
+        csi_mark_(mark_of(csi_.capacity())),
+        imu_mark_(mark_of(imu_.capacity())),
+        stats_(stats) {}
 
   // Enable gating is PER STREAM: `{csi_capacity: 0, imu_capacity: 512}`
   // runs the IMU stream async while CSI degrades to the synchronous push
@@ -170,10 +163,10 @@ class SessionIngest {
   }
 
  private:
-  static std::size_t mark_of(std::size_t capacity, double fraction) {
+  static std::size_t mark_of(std::size_t capacity) {
     if (capacity == 0) return 0;
     const auto mark = static_cast<std::size_t>(
-        static_cast<double>(capacity) * fraction);
+        static_cast<double>(capacity) * kHighWatermark);
     return mark == 0 ? 1 : mark;
   }
 
@@ -201,7 +194,7 @@ class SessionIngest {
       case OverloadPolicy::kBlock: {
         std::size_t spins = 0;
         while (!ring.try_push(v)) {
-          if (++spins > max_block_spins_) {
+          if (++spins > kMaxBlockSpins) {
             if (stats_ != nullptr) stats_->block_timeouts.inc();
             if (dropped_newest != nullptr) dropped_newest->inc();
             return false;
@@ -219,53 +212,9 @@ class SessionIngest {
   IngestRing<wifi::CsiMeasurement> csi_;
   IngestRing<imu::ImuSample> imu_;
   OverloadPolicy policy_;
-  std::size_t max_block_spins_;
   std::size_t csi_mark_ = 0;
   std::size_t imu_mark_ = 0;
   obs::IngestStats* stats_ = nullptr;  ///< not owned; may be nullptr
-};
-
-/// Shards sessions across ingest lanes. A session lives in exactly one
-/// lane (so one drainer sweeps it per pass, preserving offer order), and
-/// the engine fans the lanes across its worker pool. Mutation happens
-/// under the engine's exclusive roster lock; lane reads happen under the
-/// shared one.
-template <typename Session>
-class FeedRouter {
- public:
-  explicit FeedRouter(std::size_t num_lanes)
-      : lanes_(num_lanes == 0 ? 1 : num_lanes) {}
-
-  [[nodiscard]] std::size_t num_lanes() const noexcept {
-    return lanes_.size();
-  }
-
-  /// Stable id -> lane shard (Fibonacci mix, so sequential ids spread
-  /// evenly for any lane count).
-  [[nodiscard]] std::size_t lane_of(std::uint64_t id) const noexcept {
-    const std::uint64_t h = id * 0x9e3779b97f4a7c15ULL;
-    return static_cast<std::size_t>(h >> 33) % lanes_.size();
-  }
-
-  void assign(std::uint64_t id, Session* session) {
-    lanes_[lane_of(id)].push_back(session);
-  }
-  void remove(std::uint64_t id, Session* session) {
-    std::vector<Session*>& lane = lanes_[lane_of(id)];
-    for (auto it = lane.begin(); it != lane.end(); ++it) {
-      if (*it == session) {
-        lane.erase(it);
-        return;
-      }
-    }
-  }
-
-  [[nodiscard]] const std::vector<Session*>& lane(std::size_t l) const {
-    return lanes_[l];
-  }
-
- private:
-  std::vector<std::vector<Session*>> lanes_;
 };
 
 }  // namespace vihot::engine

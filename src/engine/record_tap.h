@@ -1,7 +1,7 @@
 // RecordTap: the engine-side recording interface of the flight recorder.
 //
 // TrackerEngine exposes its deterministic boundary — session lifecycle,
-// applied feed samples, tick begin/end — through this narrow interface
+// applied feed samples, ticks — through this narrow interface
 // so the recording subsystem (src/replay) can capture a live run without
 // the engine depending on it. The hooks fire at exactly the points the
 // replayer later re-drives:
@@ -18,13 +18,13 @@
 //                         policy dropped was never applied and is never
 //                         recorded;
 //   on_camera             same application boundary, camera feed;
-//   on_tick_begin         inside estimate_all(), AFTER the drain step
-//                         and before the batch estimates — every sample
-//                         this tick's estimates can see is recorded
-//                         before the marker, everything after belongs to
-//                         the next tick;
-//   on_tick_end           after the batch completes, with the results in
-//                         roster order plus their session ids.
+//   on_tick_end           inside estimate_all(), after the pool run that
+//                         drained and estimated every session, with the
+//                         results in roster order plus their session
+//                         ids. A session's job drains its rings before
+//                         estimating it, so every sample this tick's
+//                         estimates saw is recorded before the tick;
+//                         everything after belongs to the next tick.
 //
 // Determinism contract: recording at the application boundary makes the
 // log the total order the trackers actually consumed, regardless of how
@@ -85,7 +85,6 @@ class RecordTap {
   virtual void on_camera(std::uint64_t id,
                          const camera::CameraTracker::Estimate& e) = 0;
 
-  virtual void on_tick_begin(double t_now) = 0;
   virtual void on_tick_end(double t_now,
                            std::span<const std::uint64_t> session_ids,
                            std::span<const core::TrackResult> results) = 0;

@@ -12,9 +12,6 @@ TrackerEngine::TrackerEngine(const Config& config)
       sink_(config.sink),
       tap_(config.tap),
       ingest_config_(config.ingest),
-      router_(config.ingest.lanes != 0
-                  ? config.ingest.lanes
-                  : std::max<std::size_t>(config.num_threads, 1)),
       profile_store_(config.sink ? &config.sink->profile_store : nullptr) {
   if (tap_ != nullptr) {
     tap_->on_engine_start(EngineDescriptor{config.num_threads, config.ingest});
@@ -47,7 +44,6 @@ SessionId TrackerEngine::create_session(
       ingest_config_, sink_ ? &sink_->ingest : nullptr, tap_);
   roster_.push_back(session.get());
   roster_ids_.push_back(id);
-  router_.assign(id, session.get());
   results_.resize(roster_.size());
   sessions_.emplace(id, std::move(session));
   if (sink_ != nullptr) sink_->engine.sessions_created.inc();
@@ -68,7 +64,6 @@ bool TrackerEngine::destroy_session(SessionId id) {
   roster_ids_.erase(
       std::remove(roster_ids_.begin(), roster_ids_.end(), id),
       roster_ids_.end());
-  router_.remove(id, it->second.get());
   results_.resize(roster_.size());
   sessions_.erase(it);
   if (sink_ != nullptr) sink_->engine.sessions_destroyed.inc();
@@ -138,51 +133,44 @@ bool TrackerEngine::offer_imu(SessionId id, const imu::ImuSample& sample) {
   return s->offer_imu(sample);
 }
 
+bool TrackerEngine::any_queued() const {
+  // Async tier off only when BOTH rings are disabled: {csi: 0, imu: N}
+  // still runs the IMU stream async, so the scan must look (a CSI-only
+  // gate here used to strand every queued IMU sample in that config).
+  if (ingest_config_.csi_capacity == 0 && ingest_config_.imu_capacity == 0) {
+    return false;
+  }
+  for (const TrackerSession* s : roster_) {
+    if (s->csi_queue_depth() > 0 || s->imu_queue_depth() > 0) return true;
+  }
+  return false;
+}
+
 std::size_t TrackerEngine::drain() {
   std::lock_guard<std::mutex> batch(batch_mu_);
   std::shared_lock<std::shared_mutex> lk(roster_mu_);
-  return drain_locked();
-}
-
-std::size_t TrackerEngine::drain_locked() {
-  // Async tier off only when BOTH rings are disabled: {csi: 0, imu: N}
-  // still runs the IMU stream async, so the drain must sweep (a CSI-only
-  // gate here used to strand every queued IMU sample in that config).
-  if ((ingest_config_.csi_capacity == 0 && ingest_config_.imu_capacity == 0) ||
-      roster_.empty()) {
-    return 0;
-  }
-  // Quick scan: a fleet fed through the synchronous path has nothing
-  // queued, and must not pay a second pool dispatch per tick for it.
-  bool any_queued = false;
-  for (const TrackerSession* s : roster_) {
-    if (s->csi_queue_depth() > 0 || s->imu_queue_depth() > 0) {
-      any_queued = true;
-      break;
-    }
-  }
-  if (!any_queued) return 0;
+  if (!any_queued()) return 0;
   std::atomic<std::size_t> total{0};
-  auto lane_job = [&](std::size_t l) {
-    std::size_t n = 0;
-    for (TrackerSession* s : router_.lane(l)) n += s->drain();
+  auto job = [&](std::size_t i) {
+    const std::size_t n = roster_[i]->drain();
     if (n > 0) total.fetch_add(n, std::memory_order_relaxed);
   };
-  pool_.run(router_.num_lanes(), lane_job);
+  pool_.run(roster_.size(), job);
   return total.load(std::memory_order_relaxed);
 }
 
 std::span<const core::TrackResult> TrackerEngine::estimate_all(double t_now) {
   std::lock_guard<std::mutex> batch(batch_mu_);
   std::shared_lock<std::shared_mutex> lk(roster_mu_);
-  // Apply everything the producers queued since the last tick, lanes
-  // fanned out across the (currently idle) pool. The tick-begin marker
-  // follows the drain: feed taps fire at application (inside the drain
-  // for async samples), so everything this tick's estimates can see is
-  // recorded before the marker and replays ahead of it.
-  drain_locked();
-  if (tap_ != nullptr) tap_->on_tick_begin(t_now);
-  auto job = [&](std::size_t i) { results_[i] = roster_[i]->estimate(t_now); };
+  // One job per session applies what the producers queued since the
+  // last tick, then estimates. When anything is queued every job drains,
+  // so each session is swept once per tick as by an explicit drain().
+  const bool drain_first = any_queued();
+  auto job = [&](std::size_t i) {
+    TrackerSession* s = roster_[i];
+    if (drain_first) (void)s->drain();
+    results_[i] = s->estimate(t_now);
+  };
   if (sink_ == nullptr) {
     pool_.run(roster_.size(), job);
   } else {
@@ -195,6 +183,9 @@ std::span<const core::TrackResult> TrackerEngine::estimate_all(double t_now) {
     stats.batch_latency_us.observe(
         std::chrono::duration<double, std::micro>(t1 - t0).count());
   }
+  // Feed taps fire at application, inside the jobs for drained samples,
+  // so every sample this tick's estimates saw is recorded before the
+  // tick's chunks (see engine/record_tap.h).
   if (tap_ != nullptr) {
     tap_->on_tick_end(t_now, {roster_ids_.data(), roster_ids_.size()},
                       {results_.data(), results_.size()});

@@ -13,10 +13,10 @@
 //   * N independent TrackerSessions, addressed by SessionId
 //     (create / feed / estimate / destroy);
 //   * an async ingest front-end: per-session bounded lock-free rings
-//     (offer_csi / offer_imu) behind a FeedRouter that shards sessions
-//     across ingest lanes, drained in batch right before each tick;
-//   * a fixed WorkerPool fanning the batched estimate_all() tick across
-//     every live session, with no allocation on the per-tick hot path.
+//     (offer_csi / offer_imu), applied in batch on each tick;
+//   * a fixed WorkerPool running one job per live session on every
+//     estimate_all() tick — the job drains that session's rings, then
+//     estimates it — with no allocation on the per-tick hot path.
 //
 // Thread model: every per-session operation locks that session's own
 // mutex, so distinct sessions can be fed from distinct producer threads
@@ -146,7 +146,8 @@ class TrackerSession {
   /// Batch-applies everything queued by offer_* under the session lock.
   /// Out-of-order samples surfaced by a lossy overload policy are
   /// rejected and counted exactly like on the synchronous path. Called
-  /// by the engine's drain step (one drainer per session at a time).
+  /// from the engine's per-session pool job (one drainer per session at
+  /// a time).
   std::size_t drain() {
     if (!ingest_.enabled()) return 0;
     std::lock_guard<std::mutex> lk(mu_);
@@ -301,15 +302,15 @@ class TrackerEngine {
   bool offer_csi(SessionId id, const wifi::CsiMeasurement& m);
   bool offer_imu(SessionId id, const imu::ImuSample& sample);
 
-  /// Batch-applies everything queued by offer_* across the fleet, the
-  /// ingest lanes fanned out over the worker pool. Returns the number of
-  /// samples applied. estimate_all() runs this implicitly before every
-  /// tick; call it directly to bound queue latency between ticks.
+  /// Batch-applies everything queued by offer_* across the fleet, one
+  /// pool job per session. Returns the number of samples applied.
+  /// estimate_all() drains every session inside its estimate job; call
+  /// this directly to bound queue latency between ticks.
   std::size_t drain();
 
-  /// One batch tick: drains the ingest lanes, then estimates EVERY live
-  /// session at `t_now`, fanned out across the worker pool. Returns
-  /// results in session_ids() order; the span stays valid until the next
+  /// One batch tick: one pool job per live session, which drains that
+  /// session's rings and then estimates it at `t_now`. Returns results
+  /// in session_ids() order; the span stays valid until the next
   /// estimate_all/create/destroy call. Allocation-free for a stable
   /// fleet (the result buffer is reused).
   std::span<const core::TrackResult> estimate_all(double t_now);
@@ -318,17 +319,13 @@ class TrackerEngine {
     return pool_.size();
   }
 
-  /// Ingest lanes the FeedRouter shards sessions across.
-  [[nodiscard]] std::size_t num_lanes() const noexcept {
-    return router_.num_lanes();
-  }
-
   [[nodiscard]] const IngestConfig& ingest_config() const noexcept {
     return ingest_config_;
   }
 
-  /// Per-worker items drained by estimate_all() batches (work-stealing
-  /// balance diagnostics; a single slot 0 for the inline pool).
+  /// Per-worker pool items run by estimate_all() and drain(), one per
+  /// session per dispatch (work-stealing balance diagnostics; a single
+  /// slot 0 for the inline pool).
   [[nodiscard]] std::vector<std::uint64_t> worker_items_drained() const {
     return pool_.items_drained();
   }
@@ -341,21 +338,22 @@ class TrackerEngine {
   /// (counted as engine.unknown_session).
   [[nodiscard]] TrackerSession* find(SessionId id) const;
 
-  /// Drain step body; requires batch_mu_ and a roster lock held.
-  std::size_t drain_locked();
+  /// Quick scan: whether any session has samples queued in its rings
+  /// (requires a roster lock held). A fleet fed through the synchronous
+  /// path has nothing queued, and its pool jobs skip the rings.
+  [[nodiscard]] bool any_queued() const;
 
   WorkerPool pool_;
   obs::Sink* sink_ = nullptr;  ///< not owned; may be nullptr
   RecordTap* tap_ = nullptr;   ///< not owned; may be nullptr
   IngestConfig ingest_config_{};
 
-  /// Guards the roster (sessions_/roster_/router_/results_ shape).
+  /// Guards the roster (sessions_/roster_/results_ shape).
   /// Shared for per-session access, exclusive for fleet mutation.
   mutable std::shared_mutex roster_mu_;
   std::unordered_map<SessionId, std::unique_ptr<TrackerSession>> sessions_;
   std::vector<TrackerSession*> roster_;  ///< stable batch iteration order
   std::vector<SessionId> roster_ids_;    ///< ids parallel to roster_
-  FeedRouter<TrackerSession> router_;    ///< ingest lane sharding
   std::vector<core::TrackResult> results_;  ///< reused batch output buffer
   SessionId next_id_ = 1;
 

@@ -189,7 +189,7 @@ struct EngineStats {
   VIHOT_OBS_STATS_BODY(VIHOT_OBS_ENGINE_METRICS)
 };
 
-/// Async ingest tier counters (engine::SessionIngest behind a FeedRouter).
+/// Async ingest tier counters (engine::SessionIngest, one per session).
 /// Every overload decision is visible: a sample offered by a producer is
 /// either enqueued or counted into exactly one dropped_* bucket, and every
 /// enqueued sample is eventually counted by drained_* when the engine's

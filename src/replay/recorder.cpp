@@ -193,25 +193,21 @@ void Recorder::on_camera(std::uint64_t id,
   if (stats_ != nullptr) stats_->frames_recorded.inc();
 }
 
-void Recorder::on_tick_begin(double t_now) {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (closed_ || !error_.empty()) return;
-  ensure_fit(lk, chunk_overhead() + 8, /*must=*/true);
-  const std::size_t frame = begin_chunk(active_);
-  put_f64(active_, t_now);
-  finish_chunk(active_, frame, ChunkType::kTickBegin);
-}
-
 void Recorder::on_tick_end(double t_now,
                            std::span<const std::uint64_t> session_ids,
                            std::span<const core::TrackResult> results) {
   std::unique_lock<std::mutex> lk(mu_);
   if (closed_ || !error_.empty()) return;
-  // tick_result_entry_size() already covers the id + result pair.
+  // The tick-begin marker and the tick's results are written together,
+  // so no feed chunk can land between them. tick_result_entry_size()
+  // already covers the id + result pair.
   const std::size_t payload =
       8 + 8 + session_ids.size() * tick_result_entry_size();
-  ensure_fit(lk, chunk_overhead() + payload, /*must=*/true);
-  const std::size_t frame = begin_chunk(active_);
+  ensure_fit(lk, 2 * chunk_overhead() + 8 + payload, /*must=*/true);
+  std::size_t frame = begin_chunk(active_);
+  put_f64(active_, t_now);
+  finish_chunk(active_, frame, ChunkType::kTickBegin);
+  frame = begin_chunk(active_);
   put_f64(active_, t_now);
   put_u64(active_, session_ids.size());
   for (std::size_t i = 0; i < session_ids.size(); ++i) {

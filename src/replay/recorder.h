@@ -74,7 +74,6 @@ class Recorder : public engine::RecordTap {
               bool offered) override;
   void on_camera(std::uint64_t id,
                  const camera::CameraTracker::Estimate& e) override;
-  void on_tick_begin(double t_now) override;
   void on_tick_end(double t_now, std::span<const std::uint64_t> session_ids,
                    std::span<const core::TrackResult> results) override;
 

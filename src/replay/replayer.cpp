@@ -335,9 +335,10 @@ ReplayResult replay(const LoadedLog& log, const ReplayOptions& options) {
         if (!in.ok() || !in.exhausted()) {
           return fail("malformed tick-begin chunk");
         }
-        // Re-run the tick NOW: feed chunks recorded after this marker
-        // arrived after the live drain barrier and belong to the next
-        // tick, exactly as in the recorded run.
+        // Re-run the tick NOW: every feed chunk the live tick applied
+        // is recorded ahead of this marker, and the ones after its
+        // kTickEnd belong to the next tick, exactly as in the recorded
+        // run.
         const auto results = eng.estimate_all(t_now + delta);
         const auto ids = eng.session_ids();
         last_tick.clear();

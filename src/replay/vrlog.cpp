@@ -183,9 +183,11 @@ void encode_engine_descriptor(std::vector<unsigned char>& out,
   put_u64(out, desc.ingest.csi_capacity);
   put_u64(out, desc.ingest.imu_capacity);
   put_u8(out, static_cast<std::uint8_t>(desc.ingest.policy));
-  put_u64(out, desc.ingest.lanes);
-  put_f64(out, desc.ingest.high_watermark);
-  put_u64(out, desc.ingest.max_block_spins);
+  // Reserved; see kHeader in vrlog.h. Older engines recorded settable
+  // knobs here; these are their defaults.
+  put_u64(out, 0);  // ingest lanes
+  put_f64(out, engine::kHighWatermark);
+  put_u64(out, engine::kMaxBlockSpins);
 }
 
 bool decode_engine_descriptor(Cursor& in, engine::EngineDescriptor* desc) {
@@ -199,12 +201,14 @@ bool decode_engine_descriptor(Cursor& in, engine::EngineDescriptor* desc) {
     return false;
   }
   desc->ingest.policy = static_cast<engine::OverloadPolicy>(policy);
-  desc->ingest.lanes = in.get_u64();
-  desc->ingest.high_watermark = in.get_f64();
-  desc->ingest.max_block_spins = in.get_u64();
-  // A replay sizes its worker pool and lane table from these counts.
+  // Reserved; see kHeader in vrlog.h. The lane count is outside input
+  // and stays range-checked against the worker thread cap.
+  const std::uint64_t lanes = in.get_u64();
+  (void)in.get_f64();  // high watermark
+  (void)in.get_u64();  // block spin limit
+  // A replay sizes its worker pool from the thread count.
   return in.ok() && desc->num_threads <= engine::kMaxWorkerThreads &&
-         desc->ingest.lanes <= engine::kMaxWorkerThreads;
+         lanes <= engine::kMaxWorkerThreads;
 }
 
 void encode_tracker_config(std::vector<unsigned char>& out,

@@ -21,7 +21,12 @@
 //                  byte (written as 1, ignored on read; older logs
 //                  stored a since-removed engine flag there), ingest
 //                  ring capacities + overload policy (the knobs that
-//                  decide which samples survive)
+//                  decide which samples survive), then three reserved
+//                  fields that older engines let callers set: u64
+//                  ingest lanes (written as 0, range-checked against
+//                  kMaxWorkerThreads on read), f64 high watermark and
+//                  u64 block spin limit (written as engine::
+//                  kHighWatermark / kMaxBlockSpins, ignored on read)
 //   kProfile       one interned CsiProfile, content-addressed by the
 //                  CRC32 of its payload (the "profile content hash")
 //   kSessionStart  session id + profile reference + full TrackerConfig
@@ -30,7 +35,9 @@
 //                  position is the chunk's position in the file, plus
 //                  whether it entered through the async offer path
 //   kCamera        one camera fallback estimate
-//   kTickBegin     estimate_all() tick marker (pre-drain barrier)
+//   kTickBegin     estimate_all() tick marker, written right before
+//                  its kTickEnd: the feed chunks ahead of it are what
+//                  the tick's estimates saw
 //   kTickEnd       the tick's recorded outputs: per-session TrackResult
 //   kFooter        totals + truncation flag (staging overflow drops)
 #pragma once

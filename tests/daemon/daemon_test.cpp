@@ -14,12 +14,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <complex>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/stability.h"
 #include "daemon/client.h"
 #include "daemon/loadgen.h"
 #include "daemon/protocol.h"
@@ -109,6 +111,91 @@ TEST_F(DaemonTest, SubscriberReceivesTickBroadcast) {
   ASSERT_TRUE(frame.has_value()) << sub.error();
   ASSERT_EQ(frame->ids.size(), 1u);
   EXPECT_EQ(frame->results.size(), 1u);
+}
+
+TEST_F(DaemonTest, SubscribeReturnsOnlyOnceRegistered) {
+  // subscribe() waits for the hub's ack, so a tick from another
+  // connection right after it returns cannot miss this subscriber.
+  Client sub = Client::connect(socket_path_, Role::kSubscriber);
+  ASSERT_TRUE(sub.ok()) << sub.error();
+  ASSERT_TRUE(sub.subscribe()) << sub.error();
+  EXPECT_EQ(daemon_->subscriber_count(), 1u);
+}
+
+/// One counter from the daemon's health JSON.
+std::uint64_t health_counter(const std::string& socket_path,
+                             const std::string& name) {
+  Client control = Client::connect(socket_path, Role::kControl);
+  const auto health = control.health();
+  if (!health) return 0;
+  const std::string key = "\"" + name + "\": ";
+  const auto pos = health->find(key);
+  if (pos == std::string::npos) return 0;
+  return std::stoull(health->substr(pos + key.size()));
+}
+
+TEST_F(DaemonTest, HostileTimestampFeederStaysBounded) {
+  // Equal and nanosecond-spaced CSI timestamps defeat the time-based
+  // history trims; through the daemon the sample caps still bound the
+  // session, count what they drop, and the daemon keeps serving. A
+  // clean-rate session drops nothing. Each phase feeds its own session
+  // and ends with close_session, whose ack orders it after every frame
+  // and tick the phase sent.
+  Client feeder = Client::connect(socket_path_, Role::kFeeder);
+  ASSERT_TRUE(feeder.ok()) << feeder.error();
+  const auto profile = core::testing::synthetic_profile(2);
+  wifi::CsiMeasurement m;
+  m.h[0].assign(4, std::polar(1.0, 0.3));
+  m.h[1].assign(4, {1.0, 0.0});
+  const core::TrackerConfig config;
+  const std::size_t history_cap = core::csi_history_cap(
+      config.matcher.window_s * config.matcher.max_length_factor +
+      config.stability.window_s + 1.5);
+  // Past twice the history cap, so the history itself drops samples too.
+  const int frames = static_cast<int>(2 * history_cap) + 2048;
+  // Ticks drain the rings well before the daemon's ring capacity.
+  constexpr int kTickEvery = 512;
+  const std::string capped = "tracker.csi_history_capped";
+  std::uint64_t global_sid = 0;
+
+  ASSERT_TRUE(feeder.open_session(1, profile, {}, &global_sid));
+  for (int i = 0; i < 10000; ++i) {  // 20 s at 500 Hz
+    m.t = 0.002 * static_cast<double>(i);
+    ASSERT_TRUE(feeder.send_csi(1, m));
+    if (i % 50 == 49) {
+      ASSERT_TRUE(feeder.send_tick(m.t));
+    }
+  }
+  ASSERT_TRUE(feeder.close_session(1)) << feeder.error();
+  EXPECT_EQ(health_counter(socket_path_, capped), 0u);
+
+  const double t0 = m.t + 1.0;
+  ASSERT_TRUE(feeder.open_session(2, profile, {}, &global_sid));
+  for (int i = 0; i < frames; ++i) {
+    m.t = t0;
+    ASSERT_TRUE(feeder.send_csi(2, m));
+    if (i % kTickEvery == kTickEvery - 1) {
+      ASSERT_TRUE(feeder.send_tick(t0));
+    }
+  }
+  ASSERT_TRUE(feeder.send_tick(t0));
+  ASSERT_TRUE(feeder.close_session(2)) << feeder.error();
+  const std::uint64_t after_equal = health_counter(socket_path_, capped);
+  EXPECT_GE(after_equal, static_cast<std::uint64_t>(frames) - history_cap);
+
+  ASSERT_TRUE(feeder.open_session(3, profile, {}, &global_sid));
+  for (int i = 1; i <= frames; ++i) {
+    m.t = t0 + 1e-9 * static_cast<double>(i);
+    ASSERT_TRUE(feeder.send_csi(3, m));
+    if (i % kTickEvery == 0) {
+      ASSERT_TRUE(feeder.send_tick(m.t));
+    }
+  }
+  ASSERT_TRUE(feeder.send_tick(m.t));
+  ASSERT_TRUE(feeder.close_session(3)) << feeder.error();
+  EXPECT_GE(health_counter(socket_path_, capped),
+            after_equal + static_cast<std::uint64_t>(frames) - history_cap);
+  expect_daemon_alive();
 }
 
 TEST_F(DaemonTest, CorpusReplayIsBitIdenticalThroughTheDaemon) {

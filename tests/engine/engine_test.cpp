@@ -523,6 +523,37 @@ TEST(TrackerEngineTest, PopulatesEngineMetrics) {
   EXPECT_EQ(sink.engine.sessions_destroyed.value(), 1u);
 }
 
+TEST(TrackerEngineTest, EstimateAllIsOneDispatchPerTick) {
+  // Each session's pool job drains its rings and then estimates it: a
+  // tick over 3 sessions holding offered samples runs exactly 3 items.
+  obs::Sink sink;
+  TrackerEngine engine({0, &sink});
+  const auto profile = engine.add_profile(synthetic_profile(3));
+  std::vector<SessionId> ids;
+  for (int s = 0; s < 3; ++s) ids.push_back(engine.create_session(profile));
+  for (const SessionId id : ids) {
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_TRUE(engine.offer_csi(id, measurement(0.01 * k, 0.1)));
+    }
+  }
+  const auto items = [&] {
+    std::uint64_t total = 0;
+    for (const std::uint64_t n : engine.worker_items_drained()) total += n;
+    return total;
+  };
+  const std::uint64_t before = items();
+  (void)engine.estimate_all(0.05);
+  EXPECT_EQ(items(), before + 3);
+  EXPECT_EQ(sink.ingest.drained_csi.value(), 12u);
+  EXPECT_EQ(sink.ingest.drain_passes.value(), 3u);
+  EXPECT_EQ(sink.engine.csi_frames.value(), 12u);
+
+  // Nothing queued: the jobs only estimate and leave the rings alone.
+  (void)engine.estimate_all(0.1);
+  EXPECT_EQ(items(), before + 6);
+  EXPECT_EQ(sink.ingest.drain_passes.value(), 3u);
+}
+
 TEST(TrackerEngineTest, NullSinkIsZeroOverheadPath) {
   // No sink: everything behaves as before, nothing crashes, results are
   // identical to the sinked engine (metrics must never perturb outputs).

@@ -1,8 +1,8 @@
 // Fleet-serving tests of one TrackerEngine (ctest label: fleet).
 //
-// Routing through the FeedRouter (unknown ids at every entry point,
-// results invariant under the lane count), async ingest across lanes, and
-// the churn torture test: session create/destroy racing concurrent
+// Routing (unknown ids at every entry point, offered feeds giving
+// results invariant under the thread count), the per-session drain jobs,
+// and the churn torture test: session create/destroy racing concurrent
 // producers and pooled batch ticks. The threaded test is the TSan target of the fleet label in
 // tools/run_checks.sh; thread-count invariance of the results lives in
 // engine_test.cpp (ThreadCountDoesNotChangeResults).
@@ -57,7 +57,7 @@ TrackerEngine::Config serving_config(std::size_t threads,
 TEST(FleetRouterTest, UnknownIdsAreSurfacedAndCounted) {
   obs::Sink sink;
   TrackerEngine engine(serving_config(2, &sink));
-  ASSERT_EQ(engine.num_lanes(), 2u);
+  ASSERT_EQ(engine.num_threads(), 2u);
   EXPECT_FALSE(engine.push_csi(42, measurement(0.0, 0.0)));
   EXPECT_FALSE(engine.offer_csi(42, measurement(0.0, 0.0)));
   EXPECT_FALSE(engine.destroy_session(42));
@@ -65,15 +65,14 @@ TEST(FleetRouterTest, UnknownIdsAreSurfacedAndCounted) {
 }
 
 TEST(FleetRouterTest, ResultsAreInvariantUnderShardCount) {
-  // Sessions are independent: offering the same feeds through 1 lane
-  // inline and through N lanes drained by a pool must produce
-  // bit-identical results, session by session, tick by tick.
+  // Sessions are independent: offering the same feeds drained and
+  // estimated inline and by pools of N workers, one job per session,
+  // must produce bit-identical results, session by session, tick by
+  // tick.
   const std::size_t kSessions = 6;
-  const auto run = [&](std::size_t lanes, std::size_t threads) {
-    TrackerEngine::Config config = serving_config(threads);
-    config.ingest.lanes = lanes;
-    TrackerEngine engine(config);
-    EXPECT_EQ(engine.num_lanes(), lanes);
+  const auto run = [&](std::size_t threads) {
+    TrackerEngine engine(serving_config(threads));
+    EXPECT_EQ(engine.num_threads(), threads);
     const auto profile = engine.add_profile(synthetic_profile(5));
     const double fp = profile->positions[2].fingerprint_phase;
     std::vector<SessionId> ids;
@@ -93,39 +92,48 @@ TEST(FleetRouterTest, ResultsAreInvariantUnderShardCount) {
     return all;
   };
 
-  const std::vector<core::TrackResult> one = run(1, 0);
-  const std::vector<core::TrackResult> three = run(3, 3);
-  const std::vector<core::TrackResult> five = run(5, 2);
+  const std::vector<core::TrackResult> one = run(0);
+  const std::vector<core::TrackResult> three = run(3);
+  const std::vector<core::TrackResult> two = run(2);
   ASSERT_EQ(one.size(), three.size());
-  ASSERT_EQ(one.size(), five.size());
+  ASSERT_EQ(one.size(), two.size());
   for (std::size_t i = 0; i < one.size(); ++i) {
     EXPECT_EQ(one[i].valid, three[i].valid) << "i=" << i;
-    EXPECT_EQ(one[i].valid, five[i].valid) << "i=" << i;
+    EXPECT_EQ(one[i].valid, two[i].valid) << "i=" << i;
     if (one[i].valid) {
       // Bit-identical, not approximately equal.
       EXPECT_EQ(std::memcmp(&one[i].theta_rad, &three[i].theta_rad,
                             sizeof(double)),
                 0)
           << "i=" << i;
-      EXPECT_EQ(std::memcmp(&one[i].theta_rad, &five[i].theta_rad,
+      EXPECT_EQ(std::memcmp(&one[i].theta_rad, &two[i].theta_rad,
                             sizeof(double)),
                 0)
           << "i=" << i;
     }
     EXPECT_EQ(one[i].mode, three[i].mode) << "i=" << i;
-    EXPECT_EQ(one[i].position_slot, five[i].position_slot) << "i=" << i;
+    EXPECT_EQ(one[i].position_slot, two[i].position_slot) << "i=" << i;
   }
 }
 
-// --------------------------------------------------- async ingest lanes
+// ------------------------------------------- per-session drain jobs
+
+/// Pool items run so far, summed over the workers.
+std::uint64_t pool_items(const TrackerEngine& engine) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : engine.worker_items_drained()) total += n;
+  return total;
+}
 
 TEST(EngineServingTest, OfferedSamplesRouteAndDrainAcrossLanes) {
+  // drain() is one pool job per session, and no job at all when nothing
+  // is queued.
   obs::Sink sink;
   TrackerEngine::Config config = serving_config(3, &sink);
   config.ingest.csi_capacity = 64;
   config.ingest.imu_capacity = 64;
   TrackerEngine engine(config);
-  ASSERT_EQ(engine.num_lanes(), 3u);
+  ASSERT_EQ(engine.num_threads(), 3u);
   const auto profile = engine.add_profile(synthetic_profile(3));
   std::vector<SessionId> ids;
   for (int s = 0; s < 9; ++s) ids.push_back(engine.create_session(profile));
@@ -135,9 +143,13 @@ TEST(EngineServingTest, OfferedSamplesRouteAndDrainAcrossLanes) {
     }
   }
   EXPECT_EQ(sink.ingest.csi_enqueued.value(), 45u);
+  const std::uint64_t items = pool_items(engine);
   EXPECT_EQ(engine.drain(), 45u);
   EXPECT_EQ(sink.ingest.drained_csi.value(), 45u);
+  EXPECT_EQ(sink.ingest.drain_passes.value(), 9u);
+  EXPECT_EQ(pool_items(engine), items + 9);
   EXPECT_EQ(engine.drain(), 0u);
+  EXPECT_EQ(pool_items(engine), items + 9);
 }
 
 // ------------------------------------------------- churn under concurrency

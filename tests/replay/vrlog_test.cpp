@@ -317,9 +317,10 @@ TEST(Codecs, AbsurdCountsAreRejectedNotReserved) {
 
   // An engine header whose thread or lane count exceeds the tools'
   // --threads cap must fail to decode: a replay would otherwise size a
-  // worker pool or lane table from it and die in std::bad_alloc.
+  // worker pool from it and die in std::bad_alloc.
   const auto header = [](std::uint64_t threads, std::uint8_t reserved,
-                         std::uint64_t lanes) {
+                         std::uint64_t lanes, double high_watermark,
+                         std::uint64_t block_spins) {
     std::vector<unsigned char> out;
     put_u64(out, threads);
     put_u8(out, reserved);
@@ -327,8 +328,8 @@ TEST(Codecs, AbsurdCountsAreRejectedNotReserved) {
     put_u64(out, 64);  // imu_capacity
     put_u8(out, 0);    // policy
     put_u64(out, lanes);
-    put_f64(out, 0.75);  // high_watermark
-    put_u64(out, 16);    // max_block_spins
+    put_f64(out, high_watermark);
+    put_u64(out, block_spins);
     return out;
   };
   const auto decodes = [](const std::vector<unsigned char>& bytes,
@@ -337,23 +338,26 @@ TEST(Codecs, AbsurdCountsAreRejectedNotReserved) {
     return decode_engine_descriptor(cursor, desc) && cursor.exhausted();
   };
   engine::EngineDescriptor desc;
-  EXPECT_FALSE(decodes(header(std::uint64_t{1} << 40, 1, 2), &desc));
-  EXPECT_FALSE(decodes(header(2, 1, std::uint64_t{1} << 40), &desc));
-  EXPECT_FALSE(decodes(header(engine::kMaxWorkerThreads + 1, 1, 2), &desc));
-  EXPECT_FALSE(decodes(header(2, 1, engine::kMaxWorkerThreads + 1), &desc));
-  ASSERT_TRUE(decodes(
-      header(engine::kMaxWorkerThreads, 1, engine::kMaxWorkerThreads),
-      &desc));
-  // The byte after the thread count is reserved: logs written with 0
-  // there still decode, to the same descriptor.
-  ASSERT_TRUE(decodes(header(3, 0, 2), &desc));
+  EXPECT_FALSE(decodes(header(std::uint64_t{1} << 40, 1, 2, 0.75, 16), &desc));
+  EXPECT_FALSE(decodes(header(2, 1, std::uint64_t{1} << 40, 0.75, 16), &desc));
+  EXPECT_FALSE(
+      decodes(header(engine::kMaxWorkerThreads + 1, 1, 2, 0.75, 16), &desc));
+  EXPECT_FALSE(
+      decodes(header(2, 1, engine::kMaxWorkerThreads + 1, 0.75, 16), &desc));
+  ASSERT_TRUE(decodes(header(engine::kMaxWorkerThreads, 1,
+                             engine::kMaxWorkerThreads, 0.75, 16),
+                      &desc));
+  // The byte after the thread count is reserved, and so are the last
+  // three fields (lanes, high watermark, block spin limit): logs holding
+  // any values there still decode, to the same descriptor, and re-encode
+  // with the engine's constants.
+  ASSERT_TRUE(decodes(header(3, 0, 2, 0.5, 16), &desc));
   EXPECT_EQ(desc.num_threads, 3u);
   EXPECT_EQ(desc.ingest.csi_capacity, 64u);
-  EXPECT_EQ(desc.ingest.lanes, 2u);
-  EXPECT_EQ(desc.ingest.max_block_spins, 16u);
   std::vector<unsigned char> encoded;
   encode_engine_descriptor(encoded, desc);
-  EXPECT_EQ(encoded, header(3, 1, 2));
+  EXPECT_EQ(encoded, header(3, 1, 0, engine::kHighWatermark,
+                            engine::kMaxBlockSpins));
 
   // Matcher fields size loops and reserves, or are cast to size_t, when
   // a replay builds the session: 2^40 candidate lengths, a 2^40-sample

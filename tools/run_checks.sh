@@ -128,8 +128,8 @@ run_leg() {
       # change hits before anything else in the suite.
       run_ctest backend-matrix backend-matrix || return 1
       echo "== ${leg}: fleet gate =="
-      # Fleet-serving invariants (ingest lanes, profile interning and
-      # release) as a named artifact before the full pass.
+      # Fleet-serving invariants (per-session drain jobs, profile
+      # interning and release) as a named artifact before the full pass.
       run_ctest fleet fleet || return 1
       echo "== ${leg}: scenario gate =="
       # Scenario-pack envelopes + same-seed .vrlog bit-identity as a
