@@ -51,8 +51,9 @@ namespace vihot::daemon {
 struct DaemonConfig {
   std::string socket_path;
 
-  /// Engine worker threads (TrackerEngine::Config::num_threads; 0 =
-  /// ticks run inline on the ticking reader thread).
+  /// Engine threads, the ticking reader thread included
+  /// (TrackerEngine::Config::num_threads; 0 and 1 = ticks run inline on
+  /// the ticking reader thread).
   std::size_t threads = 0;
 
   /// Ingest rings per session. Sized generously by default: a daemon

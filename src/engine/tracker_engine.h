@@ -228,7 +228,8 @@ class TrackerSession {
 class TrackerEngine {
  public:
   struct Config {
-    /// Worker threads for estimate_all(). 0 = run batches inline on the
+    /// Threads for estimate_all(), the calling thread included: the pool
+    /// spawns num_threads - 1 workers. 0 and 1 run batches inline on the
     /// calling thread (no threads are spawned).
     std::size_t num_threads = 0;
 
@@ -323,9 +324,10 @@ class TrackerEngine {
     return ingest_config_;
   }
 
-  /// Per-worker pool items run by estimate_all() and drain(), one per
-  /// session per dispatch (work-stealing balance diagnostics; a single
-  /// slot 0 for the inline pool).
+  /// Per-thread pool items run by estimate_all() and drain(), one per
+  /// session per dispatch (work-stealing balance diagnostics). Slot 0 is
+  /// the calling thread, slots 1..num_threads-1 the workers; a single
+  /// slot 0 for the inline pools.
   [[nodiscard]] std::vector<std::uint64_t> worker_items_drained() const {
     return pool_.items_drained();
   }

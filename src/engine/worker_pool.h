@@ -4,7 +4,10 @@
 // every batch tick, potentially thousands of times per second — so the
 // pool is built for repeated cheap dispatch, not generic task queueing:
 //
-//   * threads are created once and live for the pool's lifetime;
+//   * threads are created once and live for the pool's lifetime, and
+//     the thread calling run() is one of the pool's n participants, so
+//     `WorkerPool(n)` spawns n - 1 threads and a tick starts on the
+//     caller at once instead of behind a wake-up;
 //   * a batch is a half-open index range [0, count) drained through a
 //     single atomic counter (work stealing by construction: fast sessions
 //     don't pin a worker while a slow one finishes);
@@ -41,39 +44,52 @@ class IndexFnRef {
   void (*call_)(void*, std::size_t);
 };
 
-/// Fixed pool of worker threads running index-range batches.
+/// Fixed pool of n participants running index-range batches: the caller
+/// of run() plus n - 1 worker threads.
 class WorkerPool {
  public:
-  /// `num_threads == 0` degrades to inline execution on the caller
-  /// thread (no threads are spawned) — the single-process embedding.
+  /// Spawns `num_threads - 1` threads. `num_threads` 0 and 1 both run
+  /// batches inline on the caller thread (no threads are spawned) — the
+  /// single-process embedding.
   explicit WorkerPool(std::size_t num_threads);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
   WorkerPool& operator=(const WorkerPool&) = delete;
 
-  /// Runs `fn(i)` for every i in [0, count) across the pool and blocks
-  /// until all calls returned. `fn` must be safe to invoke concurrently
-  /// for distinct indices. Calls must not be issued concurrently.
+  /// Runs `fn(i)` for every i in [0, count) across the pool, the caller
+  /// included, and blocks until all calls returned. `fn` must be safe to
+  /// invoke concurrently for distinct indices. Calls must not be issued
+  /// concurrently. On a threaded pool a throwing `fn` terminates the
+  /// process, on the caller as on a worker.
   void run(std::size_t count, IndexFnRef fn);
 
+  /// The configured participant count n (caller included).
   [[nodiscard]] std::size_t size() const noexcept {
-    return workers_.size();
+    return num_participants_;
   }
 
-  /// Lifetime items drained per worker (index = worker; a single slot 0
-  /// for the inline num_threads == 0 pool). Exposes the work-stealing
-  /// balance: a healthy pool drains roughly evenly.
+  /// Lifetime items drained per participant: slot 0 is the caller of
+  /// run(), slots 1..n-1 the threads (a single slot 0 for the inline
+  /// pools). Exposes the work-stealing balance: a healthy pool drains
+  /// roughly evenly.
   [[nodiscard]] std::vector<std::uint64_t> items_drained() const;
 
  private:
-  void worker_loop(std::size_t worker_index);
+  void worker_loop(std::size_t participant);
+
+  /// Claims indices of the current batch until none is left; returns
+  /// how many this participant ran. `noexcept`: a throwing job must not
+  /// unwind run() while the workers still hold `fn`.
+  std::size_t claim(IndexFnRef job, std::size_t count,
+                    std::size_t participant) noexcept;
 
   std::mutex mu_;
   std::condition_variable work_cv_;  ///< workers wait for a new batch
   std::condition_variable done_cv_;  ///< run() waits for completion/idle
   std::uint64_t generation_ = 0;     ///< batch sequence number
-  std::size_t num_threads_ = 0;
+  const std::size_t num_participants_;  ///< n, the caller included
+  const std::size_t num_workers_;       ///< spawned threads: n - 1, or 0
   std::size_t idle_ = 0;  ///< workers parked in work_cv_ (under mu_)
   bool stop_ = false;
 
@@ -83,7 +99,7 @@ class WorkerPool {
   std::atomic<std::size_t> next_{0};
   std::size_t remaining_ = 0;  ///< indices not yet completed (under mu_)
 
-  std::vector<std::atomic<std::uint64_t>> drained_;  ///< per-worker items
+  std::vector<std::atomic<std::uint64_t>> drained_;  ///< per-participant
   std::vector<std::thread> workers_;
 };
 

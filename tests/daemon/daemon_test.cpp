@@ -480,9 +480,24 @@ TEST_P(DaemonBackpressureTest, SlowSubscriberNeverStallsTheTickLoop) {
     return d.sub_dropped_oldest.value() + d.sub_dropped_newest.value() +
            d.sub_block_timeouts.value();
   };
+  // Pace the feeder on the ticks the daemon has served, so only a few
+  // are ever in flight: unpaced, hundreds of queued ticks fit the feeder
+  // socket before the first shed is visible, and under kBlock each is
+  // then served behind its own block_timeout_ms wait.
+  constexpr std::uint64_t kInFlight = 4;
+  const obs::Counter& served = daemon_->sink().daemon.ticks;
+  const std::uint64_t served0 = served.value();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int k = 0; k < 4000 && shed() == 0; ++k) {
-    ASSERT_TRUE(feeder.send_tick(0.01 * (k + 1)));
+  for (std::uint64_t k = 0; k < 4000 && shed() == 0; ++k) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (served.value() - served0 + kInFlight < k) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up)
+          << "daemon stopped serving ticks: " << served.value() - served0
+          << " of " << k << " sent";
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_TRUE(feeder.send_tick(0.01 * static_cast<double>(k + 1)));
   }
   EXPECT_GT(shed(), 0u) << "unread subscriber never overflowed";
   // Round-trip through a control client proves the daemon still serves.

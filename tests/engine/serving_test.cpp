@@ -14,6 +14,7 @@
 #include <complex>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -66,7 +67,7 @@ TEST(FleetRouterTest, UnknownIdsAreSurfacedAndCounted) {
 
 TEST(FleetRouterTest, ResultsAreInvariantUnderShardCount) {
   // Sessions are independent: offering the same feeds drained and
-  // estimated inline and by pools of N workers, one job per session,
+  // estimated inline and by pools of N threads, one job per session,
   // must produce bit-identical results, session by session, tick by
   // tick.
   const std::size_t kSessions = 6;
@@ -92,27 +93,24 @@ TEST(FleetRouterTest, ResultsAreInvariantUnderShardCount) {
     return all;
   };
 
-  const std::vector<core::TrackResult> one = run(0);
-  const std::vector<core::TrackResult> three = run(3);
-  const std::vector<core::TrackResult> two = run(2);
-  ASSERT_EQ(one.size(), three.size());
-  ASSERT_EQ(one.size(), two.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].valid, three[i].valid) << "i=" << i;
-    EXPECT_EQ(one[i].valid, two[i].valid) << "i=" << i;
-    if (one[i].valid) {
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(std::memcmp(&one[i].theta_rad, &three[i].theta_rad,
-                            sizeof(double)),
-                0)
-          << "i=" << i;
-      EXPECT_EQ(std::memcmp(&one[i].theta_rad, &two[i].theta_rad,
-                            sizeof(double)),
-                0)
+  const std::vector<core::TrackResult> inline_run = run(0);
+  for (const std::size_t threads : {3u, 2u, 1u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    const std::vector<core::TrackResult> pooled = run(threads);
+    ASSERT_EQ(inline_run.size(), pooled.size());
+    for (std::size_t i = 0; i < inline_run.size(); ++i) {
+      EXPECT_EQ(inline_run[i].valid, pooled[i].valid) << "i=" << i;
+      if (inline_run[i].valid) {
+        // Bit-identical, not approximately equal.
+        EXPECT_EQ(std::memcmp(&inline_run[i].theta_rad, &pooled[i].theta_rad,
+                              sizeof(double)),
+                  0)
+            << "i=" << i;
+      }
+      EXPECT_EQ(inline_run[i].mode, pooled[i].mode) << "i=" << i;
+      EXPECT_EQ(inline_run[i].position_slot, pooled[i].position_slot)
           << "i=" << i;
     }
-    EXPECT_EQ(one[i].mode, three[i].mode) << "i=" << i;
-    EXPECT_EQ(one[i].position_slot, two[i].position_slot) << "i=" << i;
   }
 }
 

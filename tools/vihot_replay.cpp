@@ -14,7 +14,8 @@
 //       one profile in <calib.vrlog> (e.g. a `vihot_sim --record` log)
 //       and writes the run as a .vrlog that verify replays bit-exactly
 //
-// --threads K replays with K workers instead of the recorded count —
+// --threads K replays with K threads (the replaying thread plus K - 1
+// workers) instead of the recorded count —
 // estimates are thread-count invariant, so this is itself a determinism
 // check. --report PATH writes the first-divergence report to a file
 // (CI uploads it as an artifact on gate failure).

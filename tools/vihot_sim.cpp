@@ -30,12 +30,13 @@
 //     --naive              also evaluate the Eq.-(5) baseline
 //     --camera             also evaluate the camera baseline
 //     --threads K          fleet mode: serve all sessions concurrently
-//                          through one TrackerEngine with K workers
-//                          (0 = inline batches)
+//                          through one TrackerEngine with K threads,
+//                          the ticking thread included (0 and 1 =
+//                          inline batches)
 //     --faults             inject transport faults (loss, bursts,
 //                          reordering, clock jitter, NaN/Inf samples)
 //                          into the CSI and IMU feeds; implies fleet
-//                          mode (use --threads to add workers)
+//                          mode (use --threads to add threads)
 //     --fault-drop P       override the i.i.d. loss probability
 //     --fault-nan P        override the corruption probability
 //     --async-ingest       feed the fleet through the engine's bounded
@@ -464,7 +465,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(res.ingest_dropped));
     }
     if (!res.worker_items.empty() && threads > 0) {
-      std::printf("  workers:    items drained per worker:");
+      std::printf("  workers:    items drained per thread (caller first):");
       for (const std::uint64_t n : res.worker_items) {
         std::printf(" %llu", static_cast<unsigned long long>(n));
       }

@@ -38,8 +38,9 @@ void on_signal(int) {
   std::fprintf(
       stderr,
       "usage: %s --socket PATH [options]\n"
-      "  --threads K             engine worker threads, at most 1024 "
-      "(default 0 = inline)\n"
+      "  --threads K             engine threads, the ticking thread "
+      "included, at most 1024\n"
+      "                          (default 0; 0 and 1 = inline)\n"
       "  --ingest-capacity N     per-session ingest ring size, at most "
       "1048576 (default 8192)\n"
       "  --ingest-policy P       block|drop-oldest|drop-newest (default "
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
   g_daemon = &daemon;
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
-  std::fprintf(stderr, "vihotd: serving on %s (%zu worker thread%s)\n",
+  std::fprintf(stderr, "vihotd: serving on %s (%zu engine thread%s)\n",
                config.socket_path.c_str(), config.threads,
                config.threads == 1 ? "" : "s");
   daemon.serve();
